@@ -5,21 +5,19 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import logging
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import formats, losses, metrics
+from . import formats, metrics
 from .config import NOISE_PROFILES, RunConfig, load_run_config
-from .core import BACKWARD, FORWARD, InvalidArgument
-from .pipeline import (coverage_report, emit_fncomp_weights,
-                       merge_bidirectional, propagate, run_pipeline)
-from .providers import NoiseConfig, OracleProviderSet
+from .core import CameraIntrinsics, InvalidArgument
+from .pipeline import coverage_report, emit_fncomp_weights, run_pipeline
+from .providers import OracleProviderSet
 from .sampling import mine_pairs, sample_sparse
-from .simulator import simulate
+from .simulator import DEFAULT_INTRINSICS, simulate
 
 log = logging.getLogger("autolabel3d")
 
@@ -36,25 +34,40 @@ COVERAGE_FILE = "coverage.txt"
 SWEEP_CSV = "sweep.csv"
 
 
+class ArtifactStore:
+    """The ``--out`` directory of one invocation: ``put`` writes an artifact
+    and keeps its object for the later stages; ``get`` parses a file only
+    when this invocation did not write it."""
+
+    def __init__(self, root: Path):
+        self.root = root
+        self._objects: dict[str, object] = {}
+
+    def put(self, name: str, obj, serialize) -> Path:
+        path = self.root / name
+        self.root.mkdir(parents=True, exist_ok=True)
+        path.write_text(serialize(obj), encoding="utf-8", newline="")
+        log.info("wrote %s", path)
+        self._objects[name] = obj
+        return path
+
+    def get(self, name: str, parse):
+        if name not in self._objects:
+            path = self.root / name
+            if not path.exists():
+                raise InvalidArgument(
+                    f"missing input file {path}; run the producing "
+                    "command first or pass --out consistently")
+            self._objects[name] = parse(path.read_text(encoding="utf-8"))
+        return self._objects[name]
+
+
 def _setup_logging():
     level = os.environ.get("LOGLEVEL", "warn").lower()
     mapping = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
     logging.basicConfig(level=mapping.get(level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-
-
-def _write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-    log.info("wrote %s", path)
-
-
-def _read(path: Path) -> str:
-    if not path.exists():
-        raise InvalidArgument(f"missing input file {path}; run the producing "
-                              "command first or pass --out consistently")
-    return path.read_text(encoding="utf-8")
 
 
 def _load_config(args) -> RunConfig:
@@ -88,45 +101,45 @@ def _providers(seq, cfg: RunConfig) -> OracleProviderSet:
     return OracleProviderSet(seq, cfg.noise, heatmap_stride=cfg.heatmap_stride)
 
 
-def cmd_simulate(args, cfg: RunConfig, out: Path):
+def cmd_simulate(args, cfg: RunConfig, store: ArtifactStore):
     seq = simulate(cfg.sim)
-    _write(out / SEQUENCE_FILE, formats.serialize_sequence(seq))
+    path = store.put(SEQUENCE_FILE, seq, formats.serialize_sequence)
     print(f"simulated {len(seq.frames)} frames, "
-          f"{len(seq.track_ids())} tracks -> {out / SEQUENCE_FILE}")
+          f"{len(seq.track_ids())} tracks -> {path}")
 
 
-def cmd_sample(args, cfg: RunConfig, out: Path):
-    seq = formats.parse_sequence(_read(out / SEQUENCE_FILE))
+def cmd_sample(args, cfg: RunConfig, store: ArtifactStore):
+    seq = store.get(SEQUENCE_FILE, formats.parse_sequence)
     sparse = sample_sparse(seq, cfg.sampling.max_per_track, cfg.sampling.seed)
-    _write(out / SPARSE_FILE, formats.serialize_sparse_labels(sparse))
+    store.put(SPARSE_FILE, sparse, formats.serialize_sparse_labels)
     n = sum(len(v) for v in sparse.selected.values())
     print(f"selected {n} sparse labels across {len(sparse.selected)} tracks "
           f"(reduction {sparse.reduction_ratio:.4f})")
 
 
-def cmd_mine_pairs(args, cfg: RunConfig, out: Path):
-    seq = formats.parse_sequence(_read(out / SEQUENCE_FILE))
-    sparse = formats.parse_sparse_labels(_read(out / SPARSE_FILE))
+def cmd_mine_pairs(args, cfg: RunConfig, store: ArtifactStore):
+    seq = store.get(SEQUENCE_FILE, formats.parse_sequence)
+    sparse = store.get(SPARSE_FILE, formats.parse_sparse_labels)
     pairs = mine_pairs(seq, sparse, cfg.sampling.window)
-    _write(out / PAIRS_FILE, formats.serialize_mining_pairs(pairs))
+    store.put(PAIRS_FILE, pairs, formats.serialize_mining_pairs)
     by_strategy: dict[str, int] = {}
     for p in pairs:
         by_strategy[p.strategy] = by_strategy.get(p.strategy, 0) + 1
     print(f"mined {len(pairs)} pairs: {by_strategy}")
 
 
-def cmd_pseudolabel(args, cfg: RunConfig, out: Path):
-    seq = formats.parse_sequence(_read(out / SEQUENCE_FILE))
-    sparse = formats.parse_sparse_labels(_read(out / SPARSE_FILE))
-    providers = _providers(seq, cfg)
-    merged, fwd, bwd = run_pipeline(seq, sparse, providers, cfg.pipeline)
-    _write(out / PSEUDO_FWD_FILE, formats.serialize_pseudolabels(
-        [p for h in fwd for p in h.pseudolabels]))
-    _write(out / PSEUDO_BWD_FILE, formats.serialize_pseudolabels(
-        [p for h in bwd for p in h.pseudolabels]))
-    _write(out / PSEUDO_FILE, formats.serialize_pseudolabels(merged))
+def cmd_pseudolabel(args, cfg: RunConfig, store: ArtifactStore):
+    seq = store.get(SEQUENCE_FILE, formats.parse_sequence)
+    sparse = store.get(SPARSE_FILE, formats.parse_sparse_labels)
+    merged, fwd, bwd = run_pipeline(seq, sparse, _providers(seq, cfg),
+                                    cfg.pipeline)
+    store.put(PSEUDO_FWD_FILE, [p for h in fwd for p in h.pseudolabels],
+              formats.serialize_pseudolabels)
+    store.put(PSEUDO_BWD_FILE, [p for h in bwd for p in h.pseudolabels],
+              formats.serialize_pseudolabels)
+    store.put(PSEUDO_FILE, merged, formats.serialize_pseudolabels)
     report = coverage_report(seq, merged, fwd + bwd)
-    _write(out / COVERAGE_FILE, _coverage_text(report))
+    store.put(COVERAGE_FILE, report, _coverage_text)
     print(f"emitted {len(merged)} merged pseudolabels "
           f"(coverage {report.overall_fraction:.4f})")
 
@@ -142,44 +155,45 @@ def _coverage_text(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_fn_weights(args, cfg: RunConfig, out: Path):
-    seq = formats.parse_sequence(_read(out / SEQUENCE_FILE))
-    pseudo = formats.parse_pseudolabels(_read(out / PSEUDO_FILE))
-    providers = _providers(seq, cfg)
-    weights = emit_fncomp_weights(seq, pseudo, providers, cfg.pipeline)
-    _write(out / WEIGHTS_FILE, formats.serialize_weight_maps(weights))
+def cmd_fn_weights(args, cfg: RunConfig, store: ArtifactStore):
+    seq = store.get(SEQUENCE_FILE, formats.parse_sequence)
+    pseudo = store.get(PSEUDO_FILE, formats.parse_pseudolabels)
+    weights = emit_fncomp_weights(seq, pseudo, _providers(seq, cfg),
+                                  cfg.pipeline)
+    store.put(WEIGHTS_FILE, weights, formats.serialize_weight_maps)
     print(f"emitted weight maps for {len(weights)} frames")
 
 
-def cmd_evaluate(args, cfg: RunConfig, out: Path):
-    seq = formats.parse_sequence(_read(out / SEQUENCE_FILE))
-    pseudo = formats.parse_pseudolabels(_read(out / PSEUDO_FILE))
+def cmd_evaluate(args, cfg: RunConfig, store: ArtifactStore):
+    seq = store.get(SEQUENCE_FILE, formats.parse_sequence)
+    pseudo = store.get(PSEUDO_FILE, formats.parse_pseudolabels)
     report = metrics.evaluate(seq, pseudo, cfg.metrics.dist_threshold,
                               cfg.metrics.recall_grid)
-    _write(out / REPORT_FILE, formats.serialize_metric_report(report))
-    _write_recall_csv(out / RECALL_CSV, report)
+    store.put(REPORT_FILE, report, formats.serialize_metric_report)
+    store.put(RECALL_CSV, report, _recall_csv)
     print(f"MOTA={report.mota:.6f} MOTP={report.motp:.6f} "
           f"IDF1={report.idf1:.6f} AMOTA={report.amota:.6f} "
           f"AMOTP={report.amotp:.6f}")
     print(f"counts: tp={report.counts.tp} fp={report.counts.fp} "
           f"fn={report.counts.fn} idsw={report.counts.idsw} "
           f"gt={report.counts.gt_total}")
-    return report
 
 
-def _write_recall_csv(path: Path, report):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["recall", "motar", "motp", "tp", "fp", "fn", "idsw",
-                    "achievable"])
-        for p in report.per_recall:
-            w.writerow([p.recall, p.motar,
-                        "" if p.motp is None else p.motp,
-                        p.tp, p.fp, p.fn, p.idsw, int(p.achievable)])
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
-def cmd_parse_kitti(args, cfg: RunConfig, out: Path):
+def _recall_csv(report) -> str:
+    return _csv_text(
+        [["recall", "motar", "motp", "tp", "fp", "fn", "idsw", "achievable"]]
+        + [[p.recall, p.motar, "" if p.motp is None else p.motp,
+            p.tp, p.fp, p.fn, p.idsw, int(p.achievable)]
+           for p in report.per_recall])
+
+
+def cmd_parse_kitti(args, cfg: RunConfig, store: ArtifactStore):
     rows = formats.parse_kitti_labels(Path(args.labels).read_text())
     if args.calib:
         calib = formats.parse_kitti_calib(Path(args.calib).read_text())
@@ -187,17 +201,15 @@ def cmd_parse_kitti(args, cfg: RunConfig, out: Path):
         if calib.translation_ignored:
             log.warning("P2 carries a nonzero translation column; ignored")
     else:
-        from .simulator import DEFAULT_INTRINSICS
-        from .core import CameraIntrinsics
         intrinsics = CameraIntrinsics(**DEFAULT_INTRINSICS)
     seq, stats = formats.kitti_rows_to_sequence(rows, intrinsics)
-    _write(out / SEQUENCE_FILE, formats.serialize_sequence(seq))
+    store.put(SEQUENCE_FILE, seq, formats.serialize_sequence)
     print(f"parsed {stats.kept} annotations "
           f"(dropped {stats.dropped_dontcare} DontCare, "
           f"{stats.dropped_category} non-vehicle)")
 
 
-def cmd_losses_check(args, cfg: RunConfig, out: Path):
+def cmd_losses_check(args, cfg: RunConfig, store: ArtifactStore):
     from .gradcheck import run_gradient_checks
     results = run_gradient_checks(seed=cfg.sampling.seed)
     print(f"{'loss':<14} {'max rel err':>12} {'points':>7} status")
@@ -209,35 +221,42 @@ def cmd_losses_check(args, cfg: RunConfig, out: Path):
         raise InvalidArgument("gradient check failed")
 
 
-def cmd_e2e(args, cfg: RunConfig, out: Path):
-    cmd_simulate(args, cfg, out)
-    cmd_sample(args, cfg, out)
-    cmd_pseudolabel(args, cfg, out)
-    cmd_fn_weights(args, cfg, out)
-    report = cmd_evaluate(args, cfg, out)
+def _sweep_budgets(spec: str) -> list[int]:
+    """The budgets of ``--sweep max_per_track=V1,V2,...``, each >= 1."""
+    key, _, values = spec.partition("=")
+    if key != "max_per_track" or not values:
+        raise InvalidArgument(
+            f"--sweep expects max_per_track=V1,V2,..., got {spec!r}")
+    for v in values.split(","):
+        if not v.isdecimal() or int(v) < 1:
+            raise InvalidArgument(f"--sweep value {v!r} is not an integer >= 1")
+    return [int(v) for v in values.split(",")]
 
-    if args.sweep:
-        key, _, values = args.sweep.partition("=")
-        if key != "max_per_track" or not values:
-            raise InvalidArgument("--sweep expects max_per_track=V1,V2,...")
-        ks = [int(v) for v in values.split(",")]
-        seq = formats.parse_sequence(_read(out / SEQUENCE_FILE))
-        rows = []
-        for k in ks:
-            sparse = sample_sparse(seq, k, cfg.sampling.seed)
-            providers = _providers(seq, cfg)
-            merged, fwd, bwd = run_pipeline(seq, sparse, providers, cfg.pipeline)
-            cov = coverage_report(seq, merged).overall_fraction
-            rep = metrics.evaluate(seq, merged, cfg.metrics.dist_threshold,
-                                   cfg.metrics.recall_grid)
-            rows.append((k, cov, rep.mota, rep.idf1))
-        with open(out / SWEEP_CSV, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["max_per_track", "coverage", "mota", "idf1"])
-            w.writerows(rows)
-        print("sweep: " + "; ".join(
-            f"k={k}: coverage={c:.4f} MOTA={m:.4f}" for k, c, m, _ in rows))
-    return report
+
+def cmd_e2e(args, cfg: RunConfig, store: ArtifactStore):
+    budgets = _sweep_budgets(args.sweep) if args.sweep else []
+    cmd_simulate(args, cfg, store)
+    cmd_sample(args, cfg, store)
+    cmd_pseudolabel(args, cfg, store)
+    cmd_fn_weights(args, cfg, store)
+    cmd_evaluate(args, cfg, store)
+    if not budgets:
+        return
+
+    seq = store.get(SEQUENCE_FILE, formats.parse_sequence)
+    rows = []
+    for k in budgets:
+        sparse = sample_sparse(seq, k, cfg.sampling.seed)
+        merged, _, _ = run_pipeline(seq, sparse, _providers(seq, cfg),
+                                    cfg.pipeline)
+        cov = coverage_report(seq, merged).overall_fraction
+        rep = metrics.evaluate(seq, merged, cfg.metrics.dist_threshold,
+                               cfg.metrics.recall_grid)
+        rows.append((k, cov, rep.mota, rep.idf1))
+    store.put(SWEEP_CSV, [("max_per_track", "coverage", "mota", "idf1")]
+              + rows, _csv_text)
+    print("sweep: " + "; ".join(
+        f"k={k}: coverage={c:.4f} MOTA={m:.4f}" for k, c, m, _ in rows))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,7 +302,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
-        args.fn(args, cfg, Path(args.out))
+        args.fn(args, cfg, ArtifactStore(Path(args.out)))
     except (InvalidArgument, formats.ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -7,8 +7,10 @@ from dataclasses import dataclass, field, fields
 import yaml
 
 from .core import InvalidArgument
+from .metrics import DEFAULT_DIST_THRESHOLD, DEFAULT_RECALL_GRID
 from .pipeline import PipelineConfig
 from .providers import NoiseConfig
+from .sampling import DEFAULT_MAX_PER_TRACK, DEFAULT_WINDOW
 from .simulator import SimConfig
 
 NOISE_PROFILES: dict[str, NoiseConfig] = {
@@ -26,9 +28,9 @@ NOISE_PROFILES: dict[str, NoiseConfig] = {
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    max_per_track: int = 4
+    max_per_track: int = DEFAULT_MAX_PER_TRACK
     seed: int = 0
-    window: int = 8
+    window: int = DEFAULT_WINDOW
 
     def __post_init__(self):
         if self.max_per_track < 1:
@@ -39,13 +41,14 @@ class SamplingConfig:
 
 @dataclass(frozen=True)
 class MetricsConfig:
-    dist_threshold: float = 2.0
-    recall_grid: tuple[float, ...] = tuple(round(0.05 * i, 2)
-                                           for i in range(1, 21))
+    dist_threshold: float = DEFAULT_DIST_THRESHOLD
+    recall_grid: tuple[float, ...] = DEFAULT_RECALL_GRID
 
     def __post_init__(self):
         if self.dist_threshold <= 0:
             raise InvalidArgument("metrics.dist_threshold must be positive")
+        if not self.recall_grid:
+            raise InvalidArgument("metrics.recall_grid must not be empty")
         if any(not 0 < r <= 1 for r in self.recall_grid):
             raise InvalidArgument("recall grid values must lie in (0, 1]")
 
@@ -58,6 +61,10 @@ class RunConfig:
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
     heatmap_stride: int = 4
+
+    def __post_init__(self):
+        if self.heatmap_stride < 1:
+            raise InvalidArgument("heatmap_stride must be >= 1")
 
 
 def _build(cls, data: dict, section: str):
@@ -100,7 +107,8 @@ def run_config_from_dict(data: dict) -> RunConfig:
         pipeline=_build(PipelineConfig, data.get("pipeline", {}), "pipeline"),
         sampling=_build(SamplingConfig, data.get("sampling", {}), "sampling"),
         metrics=_build(MetricsConfig, data.get("metrics", {}), "metrics"),
-        heatmap_stride=int(data.get("heatmap_stride", 4)),
+        heatmap_stride=int(data.get("heatmap_stride",
+                                    RunConfig.heatmap_stride)),
     )
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from .core import (Annotation, Box2D, Box3D, CameraIntrinsics, Frame,
                    Heatmap, InvalidArgument, Mask2D, Provenance, Pseudolabel,
                    Sequence, normalize_yaw)
+from .geometry import direction_of
 
 SCHEMA_VERSION = 1
 DEFAULT_VEHICLE_CATEGORIES = frozenset({"Car", "Van"})
@@ -156,8 +157,6 @@ def kitti_rows_to_sequence(rows, intrinsics: CameraIntrinsics, seq_id: str = "ki
     is shifted up by h/2 (camera y points down). KITTI dims come as (h, w, l)
     and are reordered to (l, w, h).
     """
-    from .geometry import direction_of
-
     stats = ConversionStats()
     per_frame: dict[int, list[Annotation]] = {}
     seen: set[tuple[int, int]] = set()

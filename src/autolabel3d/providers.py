@@ -20,14 +20,11 @@ from .core import (AWAY, TOWARDS, Box2D, Box3D, Heatmap, InvalidArgument,
 from .geometry import PixelKeypoints, project_keypoints
 from .simulator import occlusion_fraction
 
-BACKGROUND_DEPTH = 1e4  # meters, beyond any simulated object
-
 _TAG_DROPOUT = 1
 _TAG_CENTER = 2
 _TAG_DEPTH = 3
 _TAG_DIMS = 4
 _TAG_DIRECTION = 5
-_TAG_DEPTH_AT = 6
 
 
 @dataclass(frozen=True)
@@ -65,7 +62,6 @@ class MatchResult:
     box2d: Box2D
     confidence: float
     mask: Optional[Mask2D] = None
-    similarity: Optional[Heatmap] = None
 
     def __post_init__(self):
         if not 0.0 <= self.confidence <= 1.0:
@@ -125,7 +121,7 @@ def splat_boxes(boxes: list[Box2D], width: int, height: int,
 
 
 class OracleProviderSet:
-    """Matcher, geometry, depth, and objectness providers over one sequence."""
+    """Matcher, geometry, and objectness providers over one sequence."""
 
     def __init__(self, seq: Sequence, noise: Optional[NoiseConfig] = None,
                  heatmap_stride: int = 4):
@@ -198,29 +194,6 @@ class OracleProviderSet:
         pk = PixelKeypoints(front=pk.front, center=pk.center, back=pk.back,
                             depths=tuple(depths), direction=direction)
         return GeomResult(keypoints_px=pk, dims=dims)
-
-    # -- depth network ----------------------------------------------------
-
-    def depth_at(self, frame_index: int, u: float, v: float) -> float:
-        """Depth of the nearest object covering the pixel, else a sentinel."""
-        K = self.seq.intrinsics
-        if not (0 <= u < K.width and 0 <= v < K.height):
-            raise InvalidArgument(f"pixel ({u}, {v}) outside the image")
-        frame = self.seq.frame(frame_index)
-        best = None
-        for a in frame.annotations:
-            b = a.box2d
-            if b.left <= u <= b.right and b.top <= v <= b.bottom:
-                z = a.box3d.center[2]
-                if best is None or z < best:
-                    best = z
-        if best is None:
-            return BACKGROUND_DEPTH
-        if self.noise.depth_rel_sigma > 0:
-            rng = self._rng(_TAG_DEPTH_AT, frame_index,
-                            int(u * 1000), int(v * 1000))
-            best *= math.exp(self.noise.depth_rel_sigma * rng.normal())
-        return best
 
     # -- false-negative objectness ----------------------------------------
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import (Annotation, Box2D, Box3D, CameraIntrinsics, Frame,
                    InvalidArgument, Mask2D, Sequence)
-from .geometry import project
+from .geometry import direction_of, project
 
 DEFAULT_INTRINSICS = dict(fx=721.54, fy=721.54, cx=609.56, cy=172.85,
                           width=1242, height=375)
@@ -204,7 +204,6 @@ def simulate(cfg: SimConfig) -> Sequence:
 
             box3d = Box3D(center=tuple(center_c), dims=(l, w, h), yaw=yaw,
                           direction="towards")
-            from .geometry import direction_of
             box3d = Box3D(center=box3d.center, dims=box3d.dims, yaw=box3d.yaw,
                           direction=direction_of(box3d))
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from autolabel3d import formats
 from autolabel3d.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -58,11 +59,32 @@ class TestE2E:
         assert [r["max_per_track"] for r in rows] == ["2", "4"]
         assert all(0.0 <= float(r["coverage"]) <= 1.0 for r in rows)
 
+    def test_e2e_parses_none_of_its_outputs(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("parse_sequence", "parse_sparse_labels",
+                     "parse_pseudolabels"):
+            monkeypatch.setattr(formats, name,
+                                lambda text, name=name: calls.append(name))
+        cfg = write_config(tmp_path)
+        code = run("--config", cfg, "--out", str(tmp_path / "out"), "e2e",
+                   "--sweep", "max_per_track=2,4")
+        assert calls == []
+        assert code == 0
+
+    # (--sweep spec, the part of it the error must name)
+    BAD_SWEEPS = [("window=1,2", "window=1,2"), ("max_per_track=a", "'a'"),
+                  ("max_per_track=0", "'0'"), ("max_per_track=2,-1", "'-1'"),
+                  ("max_per_track=", "'max_per_track='")]
+
     def test_bad_sweep_spec(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
-        assert run("--config", cfg, "--out", str(tmp_path / "o"), "e2e",
-                   "--sweep", "window=1,2") == 1
-        assert "error:" in capsys.readouterr().err
+        for i, (spec, named) in enumerate(self.BAD_SWEEPS):
+            out = tmp_path / f"o{i}"
+            assert run("--config", cfg, "--out", str(out), "e2e",
+                       "--sweep", spec) == 1, spec
+            err = capsys.readouterr().err
+            assert "error:" in err and named in err, (spec, err)
+            assert not (out / "sequence.txt").exists(), spec
 
 
 class TestStepwise:
@@ -73,6 +95,15 @@ class TestStepwise:
                     "fn-weights", "evaluate"):
             assert run("--config", cfg, "--out", out, cmd) == 0, cmd
         assert (tmp_path / "out" / "mining_pairs.txt").exists()
+
+        # e2e writes the same bytes in one process as the stages in turn
+        assert run("--config", cfg, "--out", str(tmp_path / "e2e"),
+                   "e2e") == 0
+        e2e = {p.name: p.read_bytes() for p in (tmp_path / "e2e").iterdir()}
+        staged = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        assert set(e2e) == set(staged) - {"mining_pairs.txt"}
+        for name in e2e:
+            assert e2e[name] == staged[name], name
 
     def test_missing_input_fails_cleanly(self, tmp_path, capsys):
         assert run("--out", str(tmp_path / "empty"), "evaluate") == 1
@@ -95,11 +126,18 @@ class TestStepwise:
                    "simulate", "--noise", "extreme") == 1
         assert "unknown noise profile" in capsys.readouterr().err
 
+    # (config text, a phrase the error must contain)
+    BAD_CONFIGS = [("sim:\n  warp_drive: 9\n", "unknown keys"),
+                   ("heatmap_stride: 0\n", "heatmap_stride"),
+                   ("metrics:\n  recall_grid: []\n", "recall_grid")]
+
     def test_bad_config_file(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "sim:\n  warp_drive: 9\n")
-        assert run("--config", cfg, "--out", str(tmp_path / "o"),
-                   "simulate") == 1
-        assert "unknown keys" in capsys.readouterr().err
+        for i, (text, named) in enumerate(self.BAD_CONFIGS):
+            cfg = write_config(tmp_path, text)
+            out = tmp_path / f"o{i}"
+            assert run("--config", cfg, "--out", str(out), "e2e") == 1, text
+            assert named in capsys.readouterr().err, text
+            assert not out.exists(), text
 
 
 class TestParseKitti:

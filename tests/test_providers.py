@@ -5,9 +5,9 @@ import pytest
 
 from autolabel3d.core import Box2D, InvalidArgument
 from autolabel3d.geometry import project_keypoints
-from autolabel3d.providers import (BACKGROUND_DEPTH, NoiseConfig,
-                                   OracleProviderSet, gaussian_radius,
-                                   heatmap_shape, splat_boxes)
+from autolabel3d.providers import (NoiseConfig, OracleProviderSet,
+                                   gaussian_radius, heatmap_shape,
+                                   splat_boxes)
 from autolabel3d.simulator import SimConfig, occlusion_fraction, simulate
 
 
@@ -145,30 +145,6 @@ class TestEstimate:
         assert len(errs) >= 1000
         med = float(np.median(errs))
         assert 0.055 <= med <= 0.08
-
-
-class TestDepthAt:
-    def test_background_sentinel(self, seq):
-        prov = OracleProviderSet(seq, NoiseConfig.noiseless())
-        # top-left corner is sky in every simulated scene
-        assert prov.depth_at(0, 0.5, 0.5) == BACKGROUND_DEPTH
-
-    def test_hits_nearest_box(self, seq):
-        prov = OracleProviderSet(seq, NoiseConfig.noiseless())
-        frame = seq.frames[0]
-        a = frame.annotations[0]
-        z = prov.depth_at(0, a.box2d.cx, a.box2d.cy)
-        covering = [o.box3d.center[2] for o in frame.annotations
-                    if o.box2d.left <= a.box2d.cx <= o.box2d.right
-                    and o.box2d.top <= a.box2d.cy <= o.box2d.bottom]
-        assert z == min(covering)
-
-    def test_out_of_image_raises(self, seq):
-        prov = OracleProviderSet(seq, NoiseConfig.noiseless())
-        with pytest.raises(InvalidArgument):
-            prov.depth_at(0, -1.0, 10.0)
-        with pytest.raises(InvalidArgument):
-            prov.depth_at(0, 10.0, 1e6)
 
 
 class TestObjectness:

@@ -26,6 +26,14 @@ NOISE_PROFILES: dict[str, NoiseConfig] = {
 }
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
 @dataclass(frozen=True)
 class SamplingConfig:
     max_per_track: int = DEFAULT_MAX_PER_TRACK
@@ -47,6 +55,11 @@ class MetricsConfig:
     def __post_init__(self):
         if self.dist_threshold <= 0:
             raise InvalidArgument("metrics.dist_threshold must be positive")
+        if not isinstance(self.recall_grid, tuple) or not all(
+                _is_number(r) for r in self.recall_grid):
+            raise InvalidArgument(
+                f"metrics.recall_grid must be a list of numbers, "
+                f"got {self.recall_grid!r}")
         if not self.recall_grid:
             raise InvalidArgument("metrics.recall_grid must not be empty")
         if any(not 0 < r <= 1 for r in self.recall_grid):
@@ -63,8 +76,10 @@ class RunConfig:
     heatmap_stride: int = 4
 
     def __post_init__(self):
-        if self.heatmap_stride < 1:
-            raise InvalidArgument("heatmap_stride must be >= 1")
+        if not _is_int(self.heatmap_stride) or self.heatmap_stride < 1:
+            raise InvalidArgument(
+                f"heatmap_stride must be an integer >= 1, "
+                f"got {self.heatmap_stride!r}")
 
 
 def _build(cls, data: dict, section: str):
@@ -107,8 +122,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
         pipeline=_build(PipelineConfig, data.get("pipeline", {}), "pipeline"),
         sampling=_build(SamplingConfig, data.get("sampling", {}), "sampling"),
         metrics=_build(MetricsConfig, data.get("metrics", {}), "metrics"),
-        heatmap_stride=int(data.get("heatmap_stride",
-                                    RunConfig.heatmap_stride)),
+        heatmap_stride=data.get("heatmap_stride", RunConfig.heatmap_stride),
     )
 
 

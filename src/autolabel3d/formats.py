@@ -449,8 +449,12 @@ def serialize_weight_maps(weights: dict[int, Heatmap]) -> str:
         h = weights[frame_index]
         rows, cols = h.values.shape
         out.append(f"frame {frame_index} {rows} {cols} {h.stride}")
-        for row in h.values:
-            out.append(_floats(*row))
+        # Format each distinct bit pattern once (keeps -0.0 apart from 0.0).
+        bits = np.ascontiguousarray(h.values).view(np.uint64)
+        keys, index = np.unique(bits, return_inverse=True)
+        texts = np.array([fmt_float(v) for v in keys.view(np.float64)],
+                         dtype=object)
+        out.extend(map(" ".join, texts[index.reshape(rows, cols)].tolist()))
     return "\n".join(out) + "\n"
 
 
@@ -463,13 +467,32 @@ def parse_weight_maps(text: str) -> dict[int, Heatmap]:
         i += 1
         if not tokens:
             continue
+        lineno = i + 1  # the header is line 1
         if tokens[0] != "frame":
-            raise ParseError(f"unexpected record {tokens[0]!r} in weight maps")
-        frame_index, rows, cols, stride = (int(t) for t in tokens[1:5])
-        grid = np.empty((rows, cols))
+            raise ParseError(
+                f"line {lineno}: unexpected record {tokens[0]!r} in weight maps")
+        try:
+            frame_index, rows, cols, stride = (int(t) for t in tokens[1:])
+        except ValueError as e:
+            raise ParseError(f"line {lineno}: malformed frame record: {e}") from None
+        if rows < 0 or cols < 0:
+            raise ParseError(f"line {lineno}: negative frame size {rows}x{cols}")
+        values = []
         for r in range(rows):
-            grid[r] = [float(v) for v in lines[i].split()]
+            lineno = i + 2
+            if i >= len(lines):
+                raise ParseError(f"line {lineno}: frame {frame_index} expects "
+                                 f"{rows} rows, got {r}")
+            try:
+                row = [float(v) for v in lines[i].split()]
+            except ValueError as e:
+                raise ParseError(f"line {lineno}: {e}") from None
+            if len(row) != cols:
+                raise ParseError(f"line {lineno}: expected {cols} values, "
+                                 f"got {len(row)}")
+            values.append(row)
             i += 1
+        grid = np.array(values, dtype=float).reshape(rows, cols)
         weights[frame_index] = Heatmap(values=grid, stride=stride)
     return weights
 

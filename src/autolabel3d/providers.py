@@ -102,12 +102,24 @@ def heatmap_shape(width: int, height: int, stride: int) -> tuple[int, int]:
     return (math.ceil(height / stride), math.ceil(width / stride))
 
 
+# exp(-x) is exactly 0.0 in float64 for every x > 745.14 (below half the
+# smallest subnormal); 746 leaves margin for the rounding of d^2 / (2 sigma^2).
+_EXP_UNDERFLOW = 746.0
+
+
 def splat_boxes(boxes: list[Box2D], width: int, height: int,
                 stride: int) -> Heatmap:
-    """Max-composed Gaussian splats at box centers; peak cell value is 1."""
+    """Max-composed Gaussian splats at box centers; peak cell value is 1.
+
+    Each splat is evaluated only on the cells with |dx|, |dy| <=
+    ceil(sigma * sqrt(2 * 746)) around its center. Outside that window
+    d^2 / (2 sigma^2) > 746, so exp(-d^2 / (2 sigma^2)) underflows to
+    exactly 0.0, and max(x, 0.0) == x on a grid that starts at zeros. Inside
+    it the formula is the full-grid one, so the heatmap is bit-identical to
+    evaluating every splat over the whole grid.
+    """
     rows, cols = heatmap_shape(width, height, stride)
     grid = np.zeros((rows, cols))
-    ys, xs = np.mgrid[0:rows, 0:cols]
     for b in boxes:
         ccol = int(b.cx / stride)
         crow = int(b.cy / stride)
@@ -115,8 +127,13 @@ def splat_boxes(boxes: list[Box2D], width: int, height: int,
             continue
         radius = gaussian_radius(b.h / stride, b.w / stride)
         sigma = max(radius / 3.0, 1e-6)
+        reach = math.ceil(sigma * math.sqrt(2 * _EXP_UNDERFLOW))
+        r0, r1 = max(crow - reach, 0), min(crow + reach + 1, rows)
+        c0, c1 = max(ccol - reach, 0), min(ccol + reach + 1, cols)
+        ys, xs = np.ogrid[r0:r1, c0:c1]
         splat = np.exp(-((xs - ccol) ** 2 + (ys - crow) ** 2) / (2 * sigma ** 2))
-        np.maximum(grid, splat, out=grid)
+        window = grid[r0:r1, c0:c1]
+        np.maximum(window, splat, out=window)
     return Heatmap(values=grid, stride=stride)
 
 

@@ -129,7 +129,12 @@ class TestStepwise:
     # (config text, a phrase the error must contain)
     BAD_CONFIGS = [("sim:\n  warp_drive: 9\n", "unknown keys"),
                    ("heatmap_stride: 0\n", "heatmap_stride"),
-                   ("metrics:\n  recall_grid: []\n", "recall_grid")]
+                   ("heatmap_stride: a\n", "heatmap_stride"),
+                   ("heatmap_stride: 2.5\n", "heatmap_stride"),
+                   ("heatmap_stride: true\n", "heatmap_stride"),
+                   ("metrics:\n  recall_grid: []\n", "recall_grid"),
+                   ("metrics:\n  recall_grid: 0.5\n", "metrics.recall_grid"),
+                   ("metrics:\n  recall_grid: [a]\n", "metrics.recall_grid")]
 
     def test_bad_config_file(self, tmp_path, capsys):
         for i, (text, named) in enumerate(self.BAD_CONFIGS):

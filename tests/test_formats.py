@@ -214,6 +214,22 @@ class TestOtherDocuments:
         text = formats.serialize_weight_maps(maps)
         assert formats.parse_weight_maps(text) == maps
 
+    @pytest.mark.parametrize("body, bad_line", [
+        (["frame 0 2 3 4", "0.5 0.5 0.5", "0.5 0.5"], 4),
+        (["frame 0 2 3 4", "0.5 0.5 0.5 0.5", "0.5 0.5 0.5"], 3),
+        (["frame 0 2 3 4", "0.5 0.5 0.5"], 4),
+        (["frame 0 2 3 4", "0.5 0.5 0.5", "0.5 x 0.5"], 4),
+        (["frame 0 2 3", "0.5 0.5 0.5", "0.5 0.5 0.5"], 2),
+        (["frame 0 -1 3 4"], 2),
+        (["frame 0 1000000000 1000000000 4", "0.5"], 3),
+    ], ids=["too-few-values", "too-many-values", "missing-row",
+            "non-float-token", "short-frame-record", "negative-size",
+            "size-beyond-the-text"])
+    def test_weight_maps_parse_error_names_the_line(self, body, bad_line):
+        text = "\n".join(["# autolabel3d weightmaps v1"] + body) + "\n"
+        with pytest.raises(ParseError, match=rf"^line {bad_line}: "):
+            formats.parse_weight_maps(text)
+
     def test_metric_report_roundtrip(self):
         from autolabel3d import metrics
         seq = make_sequence(5)
@@ -232,3 +248,38 @@ class TestOtherDocuments:
         text = formats.serialize_mining_pairs([]).replace("v1", "v2")
         with pytest.raises(SchemaVersionError):
             formats.parse_mining_pairs(text)
+
+
+def per_cell_weight_maps(weights):
+    """Reference: one fmt_float call per cell."""
+    out = [formats._header("weightmaps")]
+    for frame_index in sorted(weights):
+        h = weights[frame_index]
+        rows, cols = h.values.shape
+        out.append(f"frame {frame_index} {rows} {cols} {h.stride}")
+        for row in h.values:
+            out.append(formats._floats(*row))
+    return "\n".join(out) + "\n"
+
+
+class TestWeightMapSerializer:
+    def test_matches_per_cell_formatting(self):
+        from autolabel3d.core import Heatmap
+        rng = np.random.default_rng(3)
+        special = np.array([-0.0, 0.0, 1.0, math.nan, 5e-324, 2.2e-308,
+                            np.nextafter(1.0, 0.0)])
+        mixed = rng.random((7, 11))
+        mixed.flat[rng.integers(0, mixed.size, 40)] = rng.choice(special, 40)
+        transposed = Heatmap(values=rng.random((9, 5)).T, stride=8)
+        assert not transposed.values.flags.c_contiguous
+        cases = [
+            {},
+            {0: Heatmap(values=np.array([[0.25]]), stride=1)},
+            {0: Heatmap(values=special.reshape(1, -1), stride=2)},
+            {3: Heatmap(values=mixed, stride=4),
+             1: transposed,
+             2: Heatmap(values=np.ones((4, 6)), stride=4)},
+        ]
+        for maps in cases:
+            assert formats.serialize_weight_maps(maps) == \
+                per_cell_weight_maps(maps)

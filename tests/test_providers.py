@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from autolabel3d.core import Box2D, InvalidArgument
 from autolabel3d.geometry import project_keypoints
@@ -147,6 +148,46 @@ class TestEstimate:
         assert 0.055 <= med <= 0.08
 
 
+def full_grid_splats(boxes, width, height, stride):
+    """Reference: every splat evaluated over the whole grid."""
+    rows, cols = heatmap_shape(width, height, stride)
+    grid = np.zeros((rows, cols))
+    ys, xs = np.mgrid[0:rows, 0:cols]
+    for b in boxes:
+        ccol = int(b.cx / stride)
+        crow = int(b.cy / stride)
+        if not (0 <= crow < rows and 0 <= ccol < cols):
+            continue
+        radius = gaussian_radius(b.h / stride, b.w / stride)
+        sigma = max(radius / 3.0, 1e-6)
+        splat = np.exp(-((xs - ccol) ** 2 + (ys - crow) ** 2)
+                       / (2 * sigma ** 2))
+        np.maximum(grid, splat, out=grid)
+    return grid
+
+
+@st.composite
+def splat_scenes(draw):
+    width = draw(st.integers(1, 160))
+    height = draw(st.integers(1, 160))
+    stride = draw(st.integers(1, 8))
+
+    def coord(extent):
+        # on, near and off the grid edges, or anywhere in between
+        edges = [0.0, extent, extent - 1e-9, -1e-9, float(stride),
+                 extent - stride, -stride, extent + stride]
+        return st.one_of(st.sampled_from(edges),
+                         st.floats(-2.0 * stride, extent + 2.0 * stride))
+
+    # sub-micro boxes hit the sigma floor; the largest exceed the image
+    side = st.one_of(st.floats(1e-9, 1e-5), st.floats(0.5, 40.0),
+                     st.floats(40.0, 2000.0))
+    boxes = draw(st.lists(st.builds(Box2D, cx=coord(width),
+                                    cy=coord(height), w=side, h=side),
+                          max_size=12))
+    return boxes, width, height, stride
+
+
 class TestObjectness:
     def test_shape(self):
         assert heatmap_shape(1242, 375, 4) == (94, 311)
@@ -167,6 +208,13 @@ class TestObjectness:
         both = splat_boxes([Box2D(cx=20, cy=20, w=16, h=16),
                             Box2D(cx=80, cy=80, w=16, h=16)], 100, 100, 4)
         assert np.array_equal(both.values, np.maximum(one.values, two.values))
+
+    @settings(max_examples=300, deadline=None)
+    @given(splat_scenes())
+    def test_window_is_bit_identical_to_full_grid(self, scene):
+        got = splat_boxes(*scene).values
+        want = full_grid_splats(*scene)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_objectness_peaks_on_annotations(self, seq):
         prov = OracleProviderSet(seq, NoiseConfig.noiseless())

@@ -58,7 +58,10 @@ class ArtifactStore:
                 raise InvalidArgument(
                     f"missing input file {path}; run the producing "
                     "command first or pass --out consistently")
-            self._objects[name] = parse(path.read_text(encoding="utf-8"))
+            try:
+                self._objects[name] = parse(path.read_text(encoding="utf-8"))
+            except formats.ParseError as e:
+                raise formats.ParseError(f"{path}: {e}") from None
         return self._objects[name]
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import yaml
 
@@ -26,12 +26,23 @@ NOISE_PROFILES: dict[str, NoiseConfig] = {
 }
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _is_number(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_KINDS = {bool: "true or false", int: "an integer", float: "a number",
+          str: "a string", tuple: "a list of numbers", dict: "a mapping"}
+
+
+def _fits(value, default) -> bool:
+    """Whether a YAML value may set a field with this default: a float field
+    also takes an int, a tuple field a list of numbers, and a bool is never
+    a number."""
+    if isinstance(default, float):
+        return _is_number(value)
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(map(_is_number, value))
+    return type(value) is type(default)
 
 
 @dataclass(frozen=True)
@@ -55,11 +66,6 @@ class MetricsConfig:
     def __post_init__(self):
         if self.dist_threshold <= 0:
             raise InvalidArgument("metrics.dist_threshold must be positive")
-        if not isinstance(self.recall_grid, tuple) or not all(
-                _is_number(r) for r in self.recall_grid):
-            raise InvalidArgument(
-                f"metrics.recall_grid must be a list of numbers, "
-                f"got {self.recall_grid!r}")
         if not self.recall_grid:
             raise InvalidArgument("metrics.recall_grid must not be empty")
         if any(not 0 < r <= 1 for r in self.recall_grid):
@@ -76,54 +82,50 @@ class RunConfig:
     heatmap_stride: int = 4
 
     def __post_init__(self):
-        if not _is_int(self.heatmap_stride) or self.heatmap_stride < 1:
+        if self.heatmap_stride < 1:
             raise InvalidArgument(
-                f"heatmap_stride must be an integer >= 1, "
-                f"got {self.heatmap_stride!r}")
+                f"heatmap_stride must be >= 1, got {self.heatmap_stride!r}")
 
 
-def _build(cls, data: dict, section: str):
+def _build(cls, data, section: str = ""):
+    """Build a config dataclass from a YAML mapping; a field whose default
+    is a dataclass is a nested section."""
+    where = section or "config root"
+    if not isinstance(data, dict):
+        raise InvalidArgument(f"{where} must be a mapping, got {data!r}")
     allowed = {f.name for f in fields(cls)}
     unknown = set(data) - allowed
     if unknown:
         raise InvalidArgument(
-            f"unknown keys in [{section}]: {sorted(unknown)}; "
+            f"unknown keys in {where}: {sorted(unknown)}; "
             f"allowed: {sorted(allowed)}")
-    coerced = {}
+    values = {}
     for f in fields(cls):
         if f.name not in data:
             continue
         v = data[f.name]
-        if isinstance(v, list):
-            v = tuple(v)
-        coerced[f.name] = v
-    return cls(**coerced)
-
-
-def run_config_from_dict(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise InvalidArgument("config root must be a mapping")
-    known = {"sim", "noise", "pipeline", "sampling", "metrics", "heatmap_stride"}
-    unknown = set(data) - known
-    if unknown:
-        raise InvalidArgument(f"unknown config sections: {sorted(unknown)}")
-    noise_section = data.get("noise", {})
-    if isinstance(noise_section, str):
-        if noise_section not in NOISE_PROFILES:
+        key = f"{section}.{f.name}" if section else f.name
+        default = f.default_factory() if f.default is MISSING else f.default
+        if is_dataclass(default):
+            v = _build(type(default), v, key)
+        elif not _fits(v, default):
             raise InvalidArgument(
-                f"unknown noise profile {noise_section!r}; "
+                f"{key} must be {_KINDS[type(default)]}, got {v!r}")
+        elif isinstance(v, list):
+            v = tuple(v)
+        values[f.name] = v
+    return cls(**values)
+
+
+def run_config_from_dict(data) -> RunConfig:
+    noise = data.get("noise") if isinstance(data, dict) else None
+    if isinstance(noise, str):
+        if noise not in NOISE_PROFILES:
+            raise InvalidArgument(
+                f"unknown noise profile {noise!r}; "
                 f"profiles: {sorted(NOISE_PROFILES)}")
-        noise = NOISE_PROFILES[noise_section]
-    else:
-        noise = _build(NoiseConfig, noise_section, "noise")
-    return RunConfig(
-        sim=_build(SimConfig, data.get("sim", {}), "sim"),
-        noise=noise,
-        pipeline=_build(PipelineConfig, data.get("pipeline", {}), "pipeline"),
-        sampling=_build(SamplingConfig, data.get("sampling", {}), "sampling"),
-        metrics=_build(MetricsConfig, data.get("metrics", {}), "metrics"),
-        heatmap_stride=data.get("heatmap_stride", RunConfig.heatmap_stride),
-    )
+        data = {**data, "noise": asdict(NOISE_PROFILES[noise])}
+    return _build(RunConfig, data)
 
 
 def load_run_config(path: str) -> RunConfig:

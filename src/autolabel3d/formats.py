@@ -8,7 +8,7 @@ doubles).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -218,17 +218,61 @@ def _check_header(text: str, kind: str) -> list[str]:
     return lines[1:]
 
 
+def _records(text: str, kind: str, on_record) -> None:
+    """Check the header of a tagged document, then call
+    ``on_record(tag, fields)`` for each non-blank line. An ``IndexError`` or
+    ``ValueError`` from the handler (a short record, a bad number, a bad RLE,
+    a record out of place) becomes a ``ParseError`` naming the line."""
+    for lineno, line in enumerate(_check_header(text, kind), start=2):
+        tokens = line.split()
+        if not tokens:
+            continue
+        try:
+            on_record(tokens[0], tokens[1:])
+        except IndexError:
+            raise ParseError(f"line {lineno}: too few fields in "
+                             f"{tokens[0]!r} record") from None
+        except ParseError as e:
+            raise ParseError(f"line {lineno}: {e}") from None
+        except ValueError as e:
+            raise ParseError(f"line {lineno}: malformed {tokens[0]!r} "
+                             f"record: {e}") from None
+
+
+def _last(items: list, what: str):
+    if not items:
+        raise ParseError(f"no {what} record before this one")
+    return items[-1]
+
+
+def _boxes_text(box2d: Box2D, box3d: Box3D) -> str:
+    return (f"{_floats(box2d.cx, box2d.cy, box2d.w, box2d.h)} "
+            f"{_floats(*box3d.center)} {_floats(*box3d.dims)} "
+            f"{fmt_float(box3d.yaw)} {box3d.direction}")
+
+
+def _parse_boxes(fields: list[str]) -> tuple[Box2D, Box3D]:
+    """Read the 12 fields ``_boxes_text`` writes."""
+    direction = fields[11]
+    v = [float(t) for t in fields[:11]]
+    return Box2D(*v[:4]), Box3D(center=tuple(v[4:7]), dims=tuple(v[7:10]),
+                                yaw=v[10], direction=direction)
+
+
 def _mask_line(tag: str, track_id: int, m: Mask2D) -> str:
     rows, cols = m.bitmap.shape
     counts = " ".join(str(c) for c in m.rle)
     return f"{tag} {track_id} {m.origin[0]} {m.origin[1]} {rows} {cols} {counts}"
 
 
-def _parse_mask_line(tokens: list[str]) -> tuple[int, Mask2D]:
-    track_id = int(tokens[0])
-    x0, y0, rows, cols = (int(t) for t in tokens[1:5])
-    counts = [int(t) for t in tokens[5:]]
-    return track_id, Mask2D.from_rle((x0, y0), counts, (rows, cols))
+def _with_mask(items: list, fields: list[str]) -> None:
+    """Attach a ``mask``/``plmask`` record to the record before it."""
+    track_id, x0, y0, rows, cols, *counts = map(int, fields)
+    last = _last(items, "ann/pl")
+    if last.track_id != track_id:
+        raise ParseError("mask track mismatch")
+    items[-1] = replace(last, mask=Mask2D.from_rle((x0, y0), counts,
+                                                   (rows, cols)))
 
 
 def serialize_sequence(seq: Sequence) -> str:
@@ -240,82 +284,45 @@ def serialize_sequence(seq: Sequence) -> str:
         out.append(f"frame {f.frame_index} {_floats(*f.ego_pose.ravel())}")
         for a in f.annotations:
             vis = str(a.visibility) if a.visibility is not None else "-"
-            out.append(
-                f"ann {a.track_id} "
-                f"{_floats(a.box2d.cx, a.box2d.cy, a.box2d.w, a.box2d.h)} "
-                f"{_floats(*a.box3d.center)} {_floats(*a.box3d.dims)} "
-                f"{fmt_float(a.box3d.yaw)} {a.box3d.direction} "
-                f"{a.occlusion_level} {vis}")
+            out.append(f"ann {a.track_id} {_boxes_text(a.box2d, a.box3d)} "
+                       f"{a.occlusion_level} {vis}")
             if a.mask is not None:
                 out.append(_mask_line("mask", a.track_id, a.mask))
     return "\n".join(out) + "\n"
 
 
 def parse_sequence(text: str) -> Sequence:
-    lines = _check_header(text, "sequence")
-    seq_id = None
-    frame_rate = None
-    intrinsics = None
-    frames: list[Frame] = []
-    cur_index = None
-    cur_pose = None
-    cur_anns: list[Annotation] = []
+    head: dict = {}
+    frames: list[tuple[int, np.ndarray, list[Annotation]]] = []
 
-    def flush():
-        if cur_index is not None:
-            frames.append(Frame(frame_index=cur_index, ego_pose=cur_pose,
-                                annotations=tuple(cur_anns)))
+    def on_record(tag, f):
+        if tag == "sequence":
+            head["id"], head["frame_rate"] = f[0], float(f[1])
+        elif tag == "intrinsics":
+            head["intrinsics"] = CameraIntrinsics(
+                fx=float(f[0]), fy=float(f[1]), cx=float(f[2]), cy=float(f[3]),
+                width=int(f[4]), height=int(f[5]))
+        elif tag == "frame":
+            pose = np.array([float(v) for v in f[1:13]]).reshape(3, 4)
+            frames.append((int(f[0]), pose, []))
+        elif tag == "ann":
+            frame_index, _, anns = _last(frames, "frame")
+            box2d, box3d = _parse_boxes(f[1:13])
+            anns.append(Annotation(
+                frame_index=frame_index, track_id=int(f[0]), box2d=box2d,
+                box3d=box3d, occlusion_level=int(f[13]),
+                visibility=None if f[14] == "-" else int(f[14])))
+        elif tag == "mask":
+            _with_mask(_last(frames, "frame")[2], f)
+        else:
+            raise ParseError(f"unknown record {tag!r}")
 
-    for lineno, line in enumerate(lines, start=2):
-        tokens = line.split()
-        if not tokens:
-            continue
-        tag, rest = tokens[0], tokens[1:]
-        try:
-            if tag == "sequence":
-                seq_id, frame_rate = rest[0], float(rest[1])
-            elif tag == "intrinsics":
-                intrinsics = CameraIntrinsics(
-                    fx=float(rest[0]), fy=float(rest[1]),
-                    cx=float(rest[2]), cy=float(rest[3]),
-                    width=int(rest[4]), height=int(rest[5]))
-            elif tag == "frame":
-                flush()
-                cur_index = int(rest[0])
-                cur_pose = np.array([float(v) for v in rest[1:13]]).reshape(3, 4)
-                cur_anns = []
-            elif tag == "ann":
-                vis = None if rest[14] == "-" else int(rest[14])
-                cur_anns.append(Annotation(
-                    frame_index=cur_index,
-                    track_id=int(rest[0]),
-                    box2d=Box2D(*(float(v) for v in rest[1:5])),
-                    box3d=Box3D(center=tuple(float(v) for v in rest[5:8]),
-                                dims=tuple(float(v) for v in rest[8:11]),
-                                yaw=float(rest[11]), direction=rest[12]),
-                    occlusion_level=int(rest[13]),
-                    visibility=vis))
-            elif tag == "mask":
-                track_id, mask = _parse_mask_line(rest)
-                last = cur_anns[-1]
-                if last.track_id != track_id:
-                    raise ParseError(f"line {lineno}: mask track mismatch")
-                cur_anns[-1] = Annotation(
-                    frame_index=last.frame_index, track_id=last.track_id,
-                    box2d=last.box2d, box3d=last.box3d,
-                    occlusion_level=last.occlusion_level, mask=mask,
-                    visibility=last.visibility)
-            else:
-                raise ParseError(f"line {lineno}: unknown record {tag!r}")
-        except (IndexError, ValueError) as e:
-            if isinstance(e, ParseError):
-                raise
-            raise ParseError(f"line {lineno}: malformed {tag!r} record: {e}") from None
-    flush()
-    if seq_id is None or intrinsics is None:
+    _records(text, "sequence", on_record)
+    if "id" not in head or "intrinsics" not in head:
         raise ParseError("sequence document missing header records")
-    return Sequence(id=seq_id, intrinsics=intrinsics, frames=tuple(frames),
-                    frame_rate=frame_rate)
+    return Sequence(frames=tuple(Frame(frame_index=i, ego_pose=pose,
+                                       annotations=tuple(anns))
+                                 for i, pose, anns in frames), **head)
 
 
 def serialize_sparse_labels(sparse) -> str:
@@ -335,35 +342,28 @@ def serialize_sparse_labels(sparse) -> str:
 def parse_sparse_labels(text: str):
     from .sampling import SparseLabelSet
 
-    lines = _check_header(text, "sparselabels")
-    seq_id = None
-    max_per_track = None
-    seed = None
-    ratio = None
+    head: dict = {}
     selected: dict[int, tuple[int, ...]] = {}
     omitted: list[tuple[int, str]] = []
-    for lineno, line in enumerate(lines, start=2):
-        tokens = line.split()
-        if not tokens:
-            continue
-        tag, rest = tokens[0], tokens[1:]
+
+    def on_record(tag, f):
         if tag == "sequence":
-            seq_id = rest[0]
-        elif tag == "max_per_track":
-            max_per_track = int(rest[0])
-        elif tag == "seed":
-            seed = int(rest[0])
+            head["sequence_id"] = f[0]
+        elif tag in ("max_per_track", "seed"):
+            head[tag] = int(f[0])
         elif tag == "reduction_ratio":
-            ratio = float(rest[0])
+            head[tag] = float(f[0])
         elif tag == "track":
-            selected[int(rest[0])] = tuple(int(v) for v in rest[1:])
+            selected[int(f[0])] = tuple(int(v) for v in f[1:])
         elif tag == "omitted":
-            omitted.append((int(rest[0]), rest[1]))
+            omitted.append((int(f[0]), f[1]))
         else:
-            raise ParseError(f"line {lineno}: unknown record {tag!r}")
-    return SparseLabelSet(sequence_id=seq_id, selected=selected,
-                          omitted=tuple(omitted), max_per_track=max_per_track,
-                          seed=seed, reduction_ratio=ratio)
+            raise ParseError(f"unknown record {tag!r}")
+
+    _records(text, "sparselabels", on_record)
+    if len(head) != 4:
+        raise ParseError("sparse labels document missing header records")
+    return SparseLabelSet(selected=selected, omitted=tuple(omitted), **head)
 
 
 def serialize_mining_pairs(pairs) -> str:
@@ -378,68 +378,50 @@ def serialize_mining_pairs(pairs) -> str:
 def parse_mining_pairs(text: str):
     from .sampling import MiningPair
 
-    lines = _check_header(text, "miningpairs")
     pairs = []
-    for lineno, line in enumerate(lines, start=2):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if tokens[0] != "pair" or len(tokens) != 6:
-            raise ParseError(f"line {lineno}: malformed pair record")
-        wp = None if tokens[4] == "-" else int(tokens[4])
-        pairs.append(MiningPair(track_id=int(tokens[1]), strategy=tokens[2],
-                                source_frame=int(tokens[3]), waypoint_frame=wp,
-                                target_frame=int(tokens[5])))
+
+    def on_record(tag, f):
+        if tag != "pair":
+            raise ParseError(f"unknown record {tag!r}")
+        track_id, strategy, source, waypoint, target = f
+        pairs.append(MiningPair(
+            track_id=int(track_id), strategy=strategy, source_frame=int(source),
+            waypoint_frame=None if waypoint == "-" else int(waypoint),
+            target_frame=int(target)))
+
+    _records(text, "miningpairs", on_record)
     return pairs
 
 
 def serialize_pseudolabels(labels) -> str:
     out = [_header("pseudolabels")]
     for p in labels:
-        out.append(
-            f"pl {p.frame_index} {p.track_id} "
-            f"{_floats(p.box2d.cx, p.box2d.cy, p.box2d.w, p.box2d.h)} "
-            f"{_floats(*p.box3d.center)} {_floats(*p.box3d.dims)} "
-            f"{fmt_float(p.box3d.yaw)} {p.box3d.direction} "
-            f"{fmt_float(p.confidence)} {p.provenance.direction} "
-            f"{p.provenance.source_frame_index}")
+        out.append(f"pl {p.frame_index} {p.track_id} "
+                   f"{_boxes_text(p.box2d, p.box3d)} "
+                   f"{fmt_float(p.confidence)} {p.provenance.direction} "
+                   f"{p.provenance.source_frame_index}")
         if p.mask is not None:
             out.append(_mask_line("plmask", p.track_id, p.mask))
     return "\n".join(out) + "\n"
 
 
 def parse_pseudolabels(text: str) -> list[Pseudolabel]:
-    lines = _check_header(text, "pseudolabels")
     labels: list[Pseudolabel] = []
-    for lineno, line in enumerate(lines, start=2):
-        tokens = line.split()
-        if not tokens:
-            continue
-        tag, rest = tokens[0], tokens[1:]
+
+    def on_record(tag, f):
         if tag == "pl":
-            try:
-                labels.append(Pseudolabel(
-                    frame_index=int(rest[0]), track_id=int(rest[1]),
-                    box2d=Box2D(*(float(v) for v in rest[2:6])),
-                    box3d=Box3D(center=tuple(float(v) for v in rest[6:9]),
-                                dims=tuple(float(v) for v in rest[9:12]),
-                                yaw=float(rest[12]), direction=rest[13]),
-                    confidence=float(rest[14]),
-                    provenance=Provenance(direction=rest[15],
-                                          source_frame_index=int(rest[16]))))
-            except (IndexError, ValueError) as e:
-                raise ParseError(f"line {lineno}: malformed pl record: {e}") from None
+            box2d, box3d = _parse_boxes(f[2:14])
+            labels.append(Pseudolabel(
+                frame_index=int(f[0]), track_id=int(f[1]), box2d=box2d,
+                box3d=box3d, confidence=float(f[14]),
+                provenance=Provenance(direction=f[15],
+                                      source_frame_index=int(f[16]))))
         elif tag == "plmask":
-            track_id, mask = _parse_mask_line(rest)
-            last = labels[-1]
-            if last.track_id != track_id:
-                raise ParseError(f"line {lineno}: mask track mismatch")
-            labels[-1] = Pseudolabel(
-                frame_index=last.frame_index, track_id=last.track_id,
-                box2d=last.box2d, box3d=last.box3d, confidence=last.confidence,
-                provenance=last.provenance, mask=mask)
+            _with_mask(labels, f)
         else:
-            raise ParseError(f"line {lineno}: unknown record {tag!r}")
+            raise ParseError(f"unknown record {tag!r}")
+
+    _records(text, "pseudolabels", on_record)
     return labels
 
 
@@ -519,27 +501,28 @@ def serialize_metric_report(report) -> str:
 def parse_metric_report(text: str):
     from .metrics import Counts, MetricReport, RecallPoint
 
-    lines = _check_header(text, "metricreport")
     fields: dict = {}
     per_recall: list = []
-    for line in lines:
-        tokens = line.split()
-        if not tokens:
-            continue
-        tag, rest = tokens[0], tokens[1:]
+
+    def on_record(tag, f):
         if tag in ("mota", "motp", "idf1", "amota", "amotp"):
-            fields[tag] = float(rest[0])
+            fields[tag] = float(f[0])
         elif tag == "counts":
-            fields["counts"] = Counts(*(int(v) for v in rest))
+            tp, fp, fn, idsw, gt_total = (int(v) for v in f)
+            fields["counts"] = Counts(tp, fp, fn, idsw, gt_total)
         elif tag == "config":
-            fields["dist_threshold"] = float(rest[0])
-            fields["recall_grid"] = tuple(float(v) for v in rest[1:])
+            fields["dist_threshold"] = float(f[0])
+            fields["recall_grid"] = tuple(float(v) for v in f[1:])
         elif tag == "recall":
             per_recall.append(RecallPoint(
-                recall=float(rest[0]), motar=float(rest[1]),
-                motp=None if rest[2] == "-" else float(rest[2]),
-                tp=int(rest[3]), fp=int(rest[4]), fn=int(rest[5]),
-                idsw=int(rest[6]), achievable=rest[7] == "1"))
+                recall=float(f[0]), motar=float(f[1]),
+                motp=None if f[2] == "-" else float(f[2]),
+                tp=int(f[3]), fp=int(f[4]), fn=int(f[5]),
+                idsw=int(f[6]), achievable=f[7] == "1"))
         else:
-            raise ParseError(f"unknown record {tag!r} in metric report")
+            raise ParseError(f"unknown record {tag!r}")
+
+    _records(text, "metricreport", on_record)
+    if len(fields) != 8:
+        raise ParseError("metric report missing header records")
     return MetricReport(per_recall=tuple(per_recall), **fields)

@@ -69,20 +69,13 @@ class MetricReport:
     per_recall: tuple[RecallPoint, ...]
 
 
-ASSOC_CENTER3D = "center3d"
-ASSOC_IOU2D = "iou2d"  # distance = 1 - IoU of the 2D boxes
-
-
-def _gt_by_frame(seq: Sequence, association: str):
-    if association == ASSOC_CENTER3D:
-        return {f.frame_index: {a.track_id: np.array(a.box3d.center)
-                                for a in f.annotations}
-                for f in seq.frames}
-    return {f.frame_index: {a.track_id: a.box2d for a in f.annotations}
+def _gt_by_frame(seq: Sequence):
+    return {f.frame_index: {a.track_id: np.array(a.box3d.center)
+                            for a in f.annotations}
             for f in seq.frames}
 
 
-def _pred_by_frame(preds: list[Pseudolabel], association: str):
+def _pred_by_frame(preds: list[Pseudolabel]):
     out: dict[int, dict] = {}
     for p in preds:
         frame = out.setdefault(p.frame_index, {})
@@ -90,31 +83,16 @@ def _pred_by_frame(preds: list[Pseudolabel], association: str):
             raise InvalidArgument(
                 f"duplicate prediction for track {p.track_id} "
                 f"frame {p.frame_index}")
-        frame[p.track_id] = (np.array(p.box3d.center)
-                             if association == ASSOC_CENTER3D else p.box2d)
+        frame[p.track_id] = np.array(p.box3d.center)
     return out
-
-
-def _distance(a, b, association: str) -> float:
-    if association == ASSOC_CENTER3D:
-        return float(np.linalg.norm(a - b))
-    from .core import iou_2d
-    return 1.0 - iou_2d(a, b)
-
-
-def _check_association(association: str):
-    if association not in (ASSOC_CENTER3D, ASSOC_IOU2D):
-        raise InvalidArgument(f"unknown association {association!r}")
 
 
 def clear_mot(seq: Sequence, preds: list[Pseudolabel],
               dist_threshold: float = DEFAULT_DIST_THRESHOLD,
-              association: str = ASSOC_CENTER3D,
               ) -> tuple[float, float, Counts, float]:
     """Returns (mota, motp, counts, total matched distance)."""
-    _check_association(association)
-    gt = _gt_by_frame(seq, association)
-    pr = _pred_by_frame(preds, association)
+    gt = _gt_by_frame(seq)
+    pr = _pred_by_frame(preds)
     frames = sorted(set(gt) | set(pr))
 
     tp = fp = fn = idsw = gt_total = 0
@@ -131,7 +109,7 @@ def clear_mot(seq: Sequence, preds: list[Pseudolabel],
         # keep surviving correspondences first (original CLEAR-MOT)
         for g, p in prev.items():
             if g in gts and p in prs:
-                d = _distance(gts[g], prs[p], association)
+                d = float(np.linalg.norm(gts[g] - prs[p]))
                 if d <= dist_threshold:
                     matched[g] = p
                     dist_sum += d
@@ -142,7 +120,7 @@ def clear_mot(seq: Sequence, preds: list[Pseudolabel],
             cost = np.full((len(rest_g), len(rest_p)), np.inf)
             for i, g in enumerate(rest_g):
                 for j, p in enumerate(rest_p):
-                    d = _distance(gts[g], prs[p], association)
+                    d = float(np.linalg.norm(gts[g] - prs[p]))
                     if d <= dist_threshold:
                         cost[i, j] = d
             for i, j in hungarian(cost).items():
@@ -166,8 +144,8 @@ def clear_mot(seq: Sequence, preds: list[Pseudolabel],
 def idf1(seq: Sequence, preds: list[Pseudolabel],
          dist_threshold: float = DEFAULT_DIST_THRESHOLD) -> float:
     """F1 over identity-consistent detections under a global trajectory match."""
-    gt = _gt_by_frame(seq, ASSOC_CENTER3D)
-    pr = _pred_by_frame(preds, ASSOC_CENTER3D)
+    gt = _gt_by_frame(seq)
+    pr = _pred_by_frame(preds)
     gt_traj: dict[int, dict[int, np.ndarray]] = {}
     for fi, objs in gt.items():
         for tid, c in objs.items():

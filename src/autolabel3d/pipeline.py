@@ -62,6 +62,10 @@ class TrackHypothesis:
 def _seed_pseudolabel(seq: Sequence, track_id: int, frame: int,
                       direction: str) -> Pseudolabel:
     ann = seq.annotation(frame, track_id)
+    if ann is None:
+        raise InvalidArgument(f"sparse label of track {track_id} at frame "
+                              f"{frame}: sequence {seq.id!r} has no such "
+                              "annotation")
     return Pseudolabel(frame_index=frame, track_id=track_id, box2d=ann.box2d,
                        box3d=ann.box3d, confidence=1.0,
                        provenance=Provenance(direction=direction,

@@ -110,6 +110,22 @@ class TestStepwise:
         err = capsys.readouterr().err
         assert "error:" in err and "sequence.txt" in err
 
+    def test_corrupt_artifact_fails_cleanly(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        for cmd in ("simulate", "sample"):
+            assert run("--config", cfg, "--out", str(out), cmd) == 0, cmd
+        path = out / "sparse_labels.txt"
+        lines = path.read_text().splitlines()
+        assert lines[5].startswith("track 0 ")
+        lines[5] = "track 0 x13"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("--config", cfg, "--out", str(out), "pseudolabel") == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: line 6: " in err and "x13" in err, err
+        assert not (out / "pseudolabels.txt").exists()
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path)
         texts = []
@@ -134,7 +150,19 @@ class TestStepwise:
                    ("heatmap_stride: true\n", "heatmap_stride"),
                    ("metrics:\n  recall_grid: []\n", "recall_grid"),
                    ("metrics:\n  recall_grid: 0.5\n", "metrics.recall_grid"),
-                   ("metrics:\n  recall_grid: [a]\n", "metrics.recall_grid")]
+                   ("metrics:\n  recall_grid: [a]\n", "metrics.recall_grid"),
+                   ("sampling:\n  max_per_track: 2.5\n",
+                    "sampling.max_per_track"),
+                   ("sim:\n  object_count: 2.5\n", "sim.object_count"),
+                   ("sim:\n  duration: a\n", "sim.duration"),
+                   ("noise:\n  center_px_sigma: a\n", "noise.center_px_sigma"),
+                   ("pipeline:\n  fncomp_floor: a\n", "pipeline.fncomp_floor"),
+                   ("metrics:\n  dist_threshold: a\n", "metrics.dist_threshold"),
+                   ("sim: 5\n", "sim must be a mapping"),
+                   ("sim:\n  with_masks: 3\n", "sim.with_masks"),
+                   ("pipeline:\n  max_consecutive_misses: true\n",
+                    "pipeline.max_consecutive_misses"),
+                   ("sampling:\n  seed: 1.5\n", "sampling.seed")]
 
     def test_bad_config_file(self, tmp_path, capsys):
         for i, (text, named) in enumerate(self.BAD_CONFIGS):

@@ -230,6 +230,56 @@ class TestOtherDocuments:
         with pytest.raises(ParseError, match=rf"^line {bad_line}: "):
             formats.parse_weight_maps(text)
 
+    SEQ = ["# autolabel3d sequence v1", "sequence sim 10",
+           "intrinsics 700 700 620 187 1242 375"]
+    FRAME = "frame 0 1 0 0 0 0 1 0 0 0 0 1 0"
+    ANN = "ann 0 100 100 40 30 1 1.5 20 4 1.8 1.5 0.5 towards 0 -"
+    SPARSE = ["# autolabel3d sparselabels v1", "sequence sim",
+              "max_per_track 4", "seed 0", "reduction_ratio 0.5"]
+    PL = "pl 0 0 100 100 40 30 1 1.5 20 4 1.8 1.5 0.5 towards 0.9 forward 0"
+    PLMASK = "plmask 0 1 2 3 4 5 2 5"
+
+    def test_record_fixtures_parse(self):
+        seq = formats.parse_sequence("\n".join(self.SEQ + [self.FRAME, self.ANN]))
+        assert seq.frames[0].annotations[0].track_id == 0
+        assert formats.parse_sparse_labels(
+            "\n".join(self.SPARSE + ["track 0 13 21"])).selected == {0: (13, 21)}
+        labels = formats.parse_pseudolabels(
+            "\n".join(["# autolabel3d pseudolabels v1", self.PL, self.PLMASK]))
+        assert labels[0].mask.bitmap.sum() == 2
+
+    @pytest.mark.parametrize("parse, lines, bad_line", [
+        ("sequence", SEQ[:1] + ["sequence sim"], 2),
+        ("sequence", SEQ + [FRAME, "ann 0 100 100 40"], 5),
+        ("sequence", SEQ + [ANN, FRAME], 4),
+        ("sparse_labels", SPARSE + ["track 0 x13"], 6),
+        ("sparse_labels", SPARSE[:3] + ["seed", "reduction_ratio 0.5"], 4),
+        ("sparse_labels", SPARSE + ["", "tracks 0 13"], 7),
+        ("mining_pairs", ["# autolabel3d miningpairs v1", "pair 0 adjacent 1 2"],
+         2),
+        ("pseudolabels", ["# autolabel3d pseudolabels v1", PL,
+                          "plmask 0 x487 2 3 4 12"], 3),
+        ("pseudolabels", ["# autolabel3d pseudolabels v1", PL,
+                          "plmask 0 1 2 3 4 5 2"], 3),
+        ("pseudolabels", ["# autolabel3d pseudolabels v1", PLMASK, PL], 2),
+        ("metric_report", ["# autolabel3d metricreport v1", "mota x"], 2),
+    ], ids=["short-sequence", "short-ann", "ann-before-frame",
+            "non-integer-track", "bare-seed", "unknown-tag", "short-pair",
+            "plmask-bad-token", "plmask-bad-rle", "plmask-before-pl",
+            "non-numeric-mota"])
+    def test_malformed_record_names_the_line(self, parse, lines, bad_line):
+        with pytest.raises(ParseError, match=rf"^line {bad_line}: "):
+            getattr(formats, f"parse_{parse}")("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("parse, lines", [
+        ("sequence", SEQ[:2]),
+        ("sparse_labels", SPARSE[:2] + SPARSE[3:]),
+        ("metric_report", ["# autolabel3d metricreport v1", "mota 1"]),
+    ], ids=["sequence", "sparse-labels", "metric-report"])
+    def test_missing_header_records(self, parse, lines):
+        with pytest.raises(ParseError, match="missing header records"):
+            getattr(formats, f"parse_{parse}")("\n".join(lines) + "\n")
+
     def test_metric_report_roundtrip(self):
         from autolabel3d import metrics
         seq = make_sequence(5)

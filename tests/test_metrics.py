@@ -6,8 +6,8 @@ import pytest
 from autolabel3d.core import (Annotation, Box2D, Box3D, CameraIntrinsics,
                               Frame, InvalidArgument, Provenance, Pseudolabel,
                               Sequence, FORWARD)
-from autolabel3d.metrics import (ASSOC_IOU2D, DEFAULT_RECALL_GRID, amota_amotp,
-                                 clear_mot, evaluate, hungarian, idf1)
+from autolabel3d.metrics import (DEFAULT_RECALL_GRID, amota_amotp, clear_mot,
+                                 evaluate, hungarian, idf1)
 
 K = CameraIntrinsics(fx=721.54, fy=721.54, cx=609.56, cy=172.85,
                      width=1242, height=375)
@@ -154,24 +154,6 @@ class TestClearMot:
         preds = [pl(0, 0, (0, 0, 10)), pl(0, 0, (1, 0, 10))]
         with pytest.raises(InvalidArgument):
             clear_mot(seq, preds)
-
-    def test_iou2d_association(self):
-        seq = make_seq({0: {f: (0, 0, 10 + f) for f in range(3)}}, 3)
-        exact = perfect_preds(seq)
-        mota, motp, _, _ = clear_mot(seq, exact, dist_threshold=0.5,
-                                     association=ASSOC_IOU2D)
-        assert mota == 1.0 and motp == 0.0
-        shifted = [pl(0, p.frame_index, p.box3d.center,
-                      box2d=Box2D(cx=1000, cy=300, w=40, h=30))
-                   for p in exact]
-        mota, _, counts, _ = clear_mot(seq, shifted, dist_threshold=0.5,
-                                       association=ASSOC_IOU2D)
-        assert counts.tp == 0
-
-    def test_unknown_association(self):
-        seq = make_seq({0: {0: (0, 0, 10)}}, 1)
-        with pytest.raises(InvalidArgument):
-            clear_mot(seq, [], association="chamfer")
 
 
 class TestIdf1:

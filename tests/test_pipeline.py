@@ -165,6 +165,15 @@ class TestPropagate:
             propagate(seq, sparse_for(seq, {0: [0]}),
                       ScriptedProvider(seq, {}), PipelineConfig(), "sideways")
 
+    @pytest.mark.parametrize("track_id, frame", [(0, 999), (77, 0)],
+                             ids=["frame-absent", "track-absent"])
+    def test_unannotated_sparse_label_is_rejected(self, seq, track_id, frame):
+        with pytest.raises(InvalidArgument,
+                           match=rf"track {track_id} at frame {frame}: "
+                                 rf"sequence 'sim'"):
+            propagate(seq, sparse_for(seq, {track_id: [frame]}),
+                      ScriptedProvider(seq, {}), PipelineConfig(), FORWARD)
+
     def test_config_validation(self):
         with pytest.raises(InvalidArgument):
             PipelineConfig(discard_threshold=0.8, source_update_threshold=0.5)

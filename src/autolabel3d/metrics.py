@@ -1,14 +1,17 @@
 """Tracking evaluation: Hungarian assignment, CLEAR-MOT, IDF1, AMOTA/AMOTP.
 
 Association uses 3D center distance with a configurable threshold
-(default 2 m). CLEAR-MOT keeps the previous frame's correspondence alive
+(default 2 m). Every metric reads one per-frame table of the (gt, pred)
+pairs within it and their distances: AMOTA runs a CLEAR-MOT pass per
+confidence threshold over that table, and IDF1 counts trajectory overlaps
+from its pairs. CLEAR-MOT keeps the previous frame's correspondence alive
 while it stays within the threshold, so identity switches are well defined.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -69,62 +72,75 @@ class MetricReport:
     per_recall: tuple[RecallPoint, ...]
 
 
-def _gt_by_frame(seq: Sequence):
-    return {f.frame_index: {a.track_id: np.array(a.box3d.center)
-                            for a in f.annotations}
-            for f in seq.frames}
-
-
-def _pred_by_frame(preds: list[Pseudolabel]):
-    out: dict[int, dict] = {}
+def _association(seq: Sequence, preds: list[Pseudolabel],
+                 dist_threshold: float):
+    """One entry per frame of ``seq``, in order: its gt track ids, each
+    prediction's track id -> confidence (in input order), and the distance
+    of every (gt, pred) pair within ``dist_threshold``. This is the only
+    place a (gt, pred) distance is computed."""
+    index = {f.frame_index: i for i, f in enumerate(seq.frames)}
+    by_frame: list[dict[int, Pseudolabel]] = [{} for _ in seq.frames]
     for p in preds:
-        frame = out.setdefault(p.frame_index, {})
-        if p.track_id in frame:
+        i = index.get(p.frame_index)
+        if i is None:
+            raise InvalidArgument(
+                f"prediction for track {p.track_id} at frame {p.frame_index}:"
+                f" sequence {seq.id!r} has no such frame")
+        if p.track_id in by_frame[i]:
             raise InvalidArgument(
                 f"duplicate prediction for track {p.track_id} "
                 f"frame {p.frame_index}")
-        frame[p.track_id] = np.array(p.box3d.center)
-    return out
+        by_frame[i][p.track_id] = p
+    # a vectorised squared distance, with a margin far above its rounding,
+    # picks the candidates; the scalar norm decides and is the distance
+    bound = (dist_threshold * (1.0 + 1e-6)) ** 2
+    table = []
+    for f, prs in zip(seq.frames, by_frame):
+        gts = {a.track_id: a.box3d.center for a in f.annotations}
+        dist: dict[tuple[int, int], float] = {}
+        if gts and prs:
+            g_ids, p_ids = list(gts), list(prs)
+            g_xyz = np.array(list(gts.values()))
+            p_xyz = np.array([p.box3d.center for p in prs.values()])
+            sq = ((g_xyz[:, None, :] - p_xyz[None, :, :]) ** 2).sum(-1)
+            for i, j in zip(*np.nonzero(sq <= bound)):
+                d = float(np.linalg.norm(g_xyz[i] - p_xyz[j]))
+                if d <= dist_threshold:
+                    dist[g_ids[i], p_ids[j]] = d
+        table.append((list(gts), {t: p.confidence for t, p in prs.items()},
+                      dist))
+    return table
 
 
-def clear_mot(seq: Sequence, preds: list[Pseudolabel],
-              dist_threshold: float = DEFAULT_DIST_THRESHOLD,
-              ) -> tuple[float, float, Counts, float]:
-    """Returns (mota, motp, counts, total matched distance)."""
-    gt = _gt_by_frame(seq)
-    pr = _pred_by_frame(preds)
-    frames = sorted(set(gt) | set(pr))
-
+def _clear_mot_pass(table, floor: float) -> tuple[Counts, float]:
+    """CLEAR-MOT over the predictions with confidence >= ``floor``: the
+    previous frame's correspondences are kept while they stay within the
+    threshold, the rest are matched by minimum total distance."""
     tp = fp = fn = idsw = gt_total = 0
     dist_sum = 0.0
     prev: dict[int, int] = {}        # gt track -> pred track, last frame
     last_match: dict[int, int] = {}  # gt track -> pred track, ever
 
-    for fi in frames:
-        gts = gt.get(fi, {})
-        prs = pr.get(fi, {})
+    for gts, confs, dist in table:
+        prs = [p for p, c in confs.items() if c >= floor]
         gt_total += len(gts)
         matched: dict[int, int] = {}
-
-        # keep surviving correspondences first (original CLEAR-MOT)
         for g, p in prev.items():
-            if g in gts and p in prs:
-                d = float(np.linalg.norm(gts[g] - prs[p]))
-                if d <= dist_threshold:
-                    matched[g] = p
-                    dist_sum += d
-        rest_g = [g for g in gts if g not in matched]
+            d = dist.get((g, p))
+            if d is not None and confs[p] >= floor:
+                matched[g] = p
+                dist_sum += d
         used = set(matched.values())
-        rest_p = [p for p in prs if p not in used]
-        if rest_g and rest_p:
-            cost = np.full((len(rest_g), len(rest_p)), np.inf)
-            for i, g in enumerate(rest_g):
-                for j, p in enumerate(rest_p):
-                    d = float(np.linalg.norm(gts[g] - prs[p]))
-                    if d <= dist_threshold:
-                        cost[i, j] = d
+        free = [(g, p, d) for (g, p), d in dist.items()
+                if g not in matched and p not in used and confs[p] >= floor]
+        if free:
+            g_ids = [g for g in gts if g not in matched]
+            p_ids = [p for p in prs if p not in used]
+            cost = np.full((len(g_ids), len(p_ids)), np.inf)
+            for g, p, d in free:
+                cost[g_ids.index(g), p_ids.index(p)] = d
             for i, j in hungarian(cost).items():
-                g, p = rest_g[i], rest_p[j]
+                g, p = g_ids[i], p_ids[j]
                 matched[g] = p
                 dist_sum += float(cost[i, j])
                 if g in last_match and last_match[g] != p:
@@ -135,63 +151,42 @@ def clear_mot(seq: Sequence, preds: list[Pseudolabel],
         fn += len(gts) - len(matched)
         prev = matched
         last_match.update(matched)
+    return Counts(tp, fp, fn, idsw, gt_total), dist_sum
 
-    mota = 1.0 - (fp + fn + idsw) / gt_total if gt_total else 1.0
-    motp = dist_sum / tp if tp else 0.0
-    return mota, motp, Counts(tp, fp, fn, idsw, gt_total), dist_sum
+
+def clear_mot(seq: Sequence, preds: list[Pseudolabel],
+              dist_threshold: float = DEFAULT_DIST_THRESHOLD,
+              ) -> tuple[float, float, Counts, float]:
+    """Returns (mota, motp, counts, total matched distance)."""
+    c, dist_sum = _clear_mot_pass(_association(seq, preds, dist_threshold),
+                                  -math.inf)
+    mota = 1.0 - (c.fp + c.fn + c.idsw) / c.gt_total if c.gt_total else 1.0
+    motp = dist_sum / c.tp if c.tp else 0.0
+    return mota, motp, c, dist_sum
 
 
 def idf1(seq: Sequence, preds: list[Pseudolabel],
          dist_threshold: float = DEFAULT_DIST_THRESHOLD) -> float:
-    """F1 over identity-consistent detections under a global trajectory match."""
-    gt = _gt_by_frame(seq)
-    pr = _pred_by_frame(preds)
-    gt_traj: dict[int, dict[int, np.ndarray]] = {}
-    for fi, objs in gt.items():
-        for tid, c in objs.items():
-            gt_traj.setdefault(tid, {})[fi] = c
-    pr_traj: dict[int, dict[int, np.ndarray]] = {}
-    for fi, objs in pr.items():
-        for tid, c in objs.items():
-            pr_traj.setdefault(tid, {})[fi] = c
-
-    g_ids = sorted(gt_traj)
-    p_ids = sorted(pr_traj)
-    total_gt = sum(len(t) for t in gt_traj.values())
-    total_pr = sum(len(t) for t in pr_traj.values())
+    """F1 over identity-consistent detections under a global trajectory
+    match: IDTP is the largest total overlap (frames within the threshold)
+    of a one-to-one pairing of gt and predicted tracks."""
+    overlap: dict[tuple[int, int], int] = {}
+    total_gt = 0
+    for gts, _, dist in _association(seq, preds, dist_threshold):
+        total_gt += len(gts)
+        for pair in dist:
+            overlap[pair] = overlap.get(pair, 0) + 1
+    total_pr = len(preds)
     if total_gt == 0 and total_pr == 0:
         return 1.0
-
-    ng, np_ = len(g_ids), len(p_ids)
-    size = ng + np_
-    # cost(g, p) = IDFN + IDFP induced by the pairing; dummies carry the
-    # cost of leaving a trajectory unmatched
-    cost = np.zeros((size, size))
-    overlap = np.zeros((ng, np_), dtype=int)
-    for i, g in enumerate(g_ids):
-        for j, p in enumerate(p_ids):
-            ov = 0
-            gt_t = gt_traj[g]
-            pr_t = pr_traj[p]
-            for fi in gt_t.keys() & pr_t.keys():
-                if float(np.linalg.norm(gt_t[fi] - pr_t[fi])) <= dist_threshold:
-                    ov += 1
-            overlap[i, j] = ov
-            cost[i, j] = len(gt_t) + len(pr_t) - 2 * ov
-    for i, g in enumerate(g_ids):
-        cost[i, np_:] = np.inf
-        cost[i, np_ + i] = len(gt_traj[g])
-    for j, p in enumerate(p_ids):
-        cost[ng:, j] = np.inf
-        cost[ng + j, j] = len(pr_traj[p])
-    cost[ng:, np_:] = 0.0
-
-    assignment = hungarian(cost)
-    idtp = sum(overlap[i, j] for i, j in assignment.items()
-               if i < ng and j < np_)
-    idfn = total_gt - idtp
-    idfp = total_pr - idtp
-    return 2.0 * idtp / (2.0 * idtp + idfp + idfn)
+    g_ids = {g: i for i, g in enumerate(sorted({g for g, _ in overlap}))}
+    p_ids = {p: j for j, p in enumerate(sorted({p for _, p in overlap}))}
+    ov = np.zeros((len(g_ids), len(p_ids)))
+    for (g, p), n in overlap.items():
+        ov[g_ids[g], p_ids[p]] = n
+    idtp = sum(ov[i, j] for i, j in hungarian(-ov).items())
+    # 2 IDTP / (2 IDTP + IDFP + IDFN), with IDFP + IDFN = totals - 2 IDTP
+    return 2.0 * idtp / (total_gt + total_pr)
 
 
 def amota_amotp(seq: Sequence, preds: list[Pseudolabel],
@@ -207,11 +202,11 @@ def amota_amotp(seq: Sequence, preds: list[Pseudolabel],
     if gt_total == 0:
         raise InvalidArgument("cannot sweep recall with no ground truth")
 
+    table = _association(seq, preds, dist_threshold)
     thresholds = sorted({p.confidence for p in preds}, reverse=True)
     sweep = []  # (recall, counts, mean matched distance)
     for th in thresholds:
-        kept = [p for p in preds if p.confidence >= th]
-        _, _, counts, dist_sum = clear_mot(seq, kept, dist_threshold)
+        counts, dist_sum = _clear_mot_pass(table, th)
         recall = counts.tp / gt_total
         motp = dist_sum / counts.tp if counts.tp else None
         sweep.append((recall, counts, motp))

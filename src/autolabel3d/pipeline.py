@@ -56,7 +56,6 @@ class TrackHypothesis:
     source_frame: int = -1
     consecutive_misses: int = 0
     status: str = STATUS_ACTIVE
-    diagnostics: list[str] = field(default_factory=list)
 
 
 def _seed_pseudolabel(seq: Sequence, track_id: int, frame: int,
@@ -116,8 +115,8 @@ def propagate(seq: Sequence, sparse: SparseLabelSet, providers,
                                 source_frame_index=hyp.source_frame),
                             mask=m.mask)
                 except (KeyError, BehindCameraError, DegenerateKeypointsError,
-                        InvalidArgument) as e:
-                    hyp.diagnostics.append(f"frame {target}: {e}")
+                        InvalidArgument):
+                    pass  # a failed query is a miss
 
                 if accepted is None:
                     hyp.consecutive_misses += 1
@@ -143,8 +142,7 @@ def merge_bidirectional(fwd: list[TrackHypothesis], bwd: list[TrackHypothesis],
         if h.direction != BACKWARD:
             raise InvalidArgument("backward list contains a forward hypothesis")
 
-    preferred_first = FORWARD if cfg.merge_tie_break == FORWARD else BACKWARD
-    ordered = (fwd + bwd) if preferred_first == FORWARD else (bwd + fwd)
+    ordered = (fwd + bwd) if cfg.merge_tie_break == FORWARD else (bwd + fwd)
     best: dict[tuple[int, int], Pseudolabel] = {}
     for hyp in ordered:
         for p in hyp.pseudolabels:

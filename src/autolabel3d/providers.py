@@ -44,11 +44,16 @@ class NoiseConfig:
         for name in ("match_dropout_base", "direction_flip_prob"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
-                raise InvalidArgument(f"{name} must be a probability, got {v}")
+                raise InvalidArgument(
+                    f"noise.{name} must be a probability, got {v}")
         for name in ("center_px_sigma", "depth_rel_sigma", "dims_rel_sigma",
                      "dropout_occlusion_gain"):
             if getattr(self, name) < 0:
-                raise InvalidArgument(f"{name} must be >= 0")
+                raise InvalidArgument(f"noise.{name} must be >= 0")
+        if not self.confidence_d0 > 0:
+            raise InvalidArgument(
+                "noise.confidence_d0 must be positive (inf disables the "
+                f"distance decay), got {self.confidence_d0!r}")
 
     @classmethod
     def noiseless(cls, seed: int = 0) -> "NoiseConfig":

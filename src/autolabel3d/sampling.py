@@ -53,16 +53,6 @@ class SparseLabelSet:
     def labeled_frames(self, track_id: int) -> tuple[int, ...]:
         return self.selected.get(track_id, ())
 
-    def __eq__(self, other):
-        if not isinstance(other, SparseLabelSet):
-            return NotImplemented
-        return (self.sequence_id == other.sequence_id
-                and self.selected == other.selected
-                and self.omitted == other.omitted
-                and self.max_per_track == other.max_per_track
-                and self.seed == other.seed
-                and self.reduction_ratio == other.reduction_ratio)
-
 
 def _round_half_down(x: float) -> int:
     return math.ceil(x - 0.5)

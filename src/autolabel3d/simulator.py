@@ -28,6 +28,9 @@ DEFAULT_INTRINSICS = dict(fx=721.54, fy=721.54, cx=609.56, cy=172.85,
 MOTION_CV = "constant-velocity"
 MOTION_CTRV = "constant-turn-rate-velocity"
 
+_RANGES = ("object_speed", "turn_rate", "length_range", "width_range",
+           "height_range", "spawn_x", "spawn_z")
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -55,13 +58,35 @@ class SimConfig:
 
     def __post_init__(self):
         if self.duration < 2:
-            raise InvalidArgument("duration must be >= 2 frames")
+            raise InvalidArgument("sim.duration must be >= 2 frames")
+        if not self.frame_rate > 0:
+            raise InvalidArgument(
+                f"sim.frame_rate must be positive, got {self.frame_rate!r}")
+        if self.object_count < 1:
+            raise InvalidArgument(
+                f"sim.object_count must be >= 1, got {self.object_count!r}")
+        for name in _RANGES:
+            pair = getattr(self, name)
+            if len(pair) != 2:
+                raise InvalidArgument(
+                    f"sim.{name} must be a (low, high) pair, got {pair!r}")
+            if pair[1] < pair[0]:
+                raise InvalidArgument(f"sim.{name}: empty range {pair!r}")
         if self.ego_speed < 0 or self.object_speed[0] < 0:
-            raise InvalidArgument("speeds must be >= 0")
-        for lo, hi in (self.object_speed, self.length_range, self.width_range,
-                       self.height_range, self.spawn_x, self.spawn_z):
-            if hi < lo:
-                raise InvalidArgument(f"empty range ({lo}, {hi})")
+            raise InvalidArgument("sim.ego_speed and sim.object_speed must "
+                                  "be >= 0")
+        if self.ego_motion == "arc" and self.ego_arc_radius == 0:
+            raise InvalidArgument("sim.ego_arc_radius must be nonzero")
+        if set(self.intrinsics) != set(DEFAULT_INTRINSICS) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in self.intrinsics.values()):
+            raise InvalidArgument(
+                f"sim.intrinsics must map each of {sorted(DEFAULT_INTRINSICS)}"
+                f" to a number, got {self.intrinsics!r}")
+        try:
+            CameraIntrinsics(**self.intrinsics)
+        except InvalidArgument as e:
+            raise InvalidArgument(f"sim.intrinsics: {e}") from None
         if self.ego_motion not in ("straight", "arc"):
             raise InvalidArgument(f"unknown ego motion {self.ego_motion!r}")
         if self.layout not in ("random", "grid"):

@@ -126,6 +126,23 @@ class TestStepwise:
         assert f"error: {path}: line 6: " in err and "x13" in err, err
         assert not (out / "pseudolabels.txt").exists()
 
+    def test_off_sequence_prediction_fails_cleanly(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        for cmd in ("simulate", "sample", "pseudolabel"):
+            assert run("--config", cfg, "--out", str(out), cmd) == 0, cmd
+        path = out / "pseudolabels.txt"
+        lines = path.read_text().splitlines()
+        assert lines[1].startswith("pl 0 0 ")
+        lines[1] = "pl 99 0 " + lines[1][len("pl 0 0 "):]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("--config", cfg, "--out", str(out), "evaluate") == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "track 0 at frame 99" in err, err
+        assert not (out / "metric_report.txt").exists()
+        assert not (out / "per_recall.csv").exists()
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path)
         texts = []
@@ -162,7 +179,21 @@ class TestStepwise:
                    ("sim:\n  with_masks: 3\n", "sim.with_masks"),
                    ("pipeline:\n  max_consecutive_misses: true\n",
                     "pipeline.max_consecutive_misses"),
-                   ("sampling:\n  seed: 1.5\n", "sampling.seed")]
+                   ("sampling:\n  seed: 1.5\n", "sampling.seed"),
+                   ("sim:\n  spawn_x: [1]\n", "sim.spawn_x"),
+                   ("sim:\n  spawn_x: [1, 2, 3]\n", "sim.spawn_x"),
+                   ("sim:\n  turn_rate: [0.1]\n", "sim.turn_rate"),
+                   ("sim:\n  intrinsics: {fx: 1}\n", "sim.intrinsics"),
+                   ("sim:\n  intrinsics: {fx: 1, fy: 1, cx: 5, cy: 5, "
+                    "width: 10, height: a}\n", "sim.intrinsics"),
+                   ("sim:\n  intrinsics: {fx: 0, fy: 1, cx: 5, cy: 5, "
+                    "width: 10, height: 10}\n", "sim.intrinsics: focal"),
+                   ("sim:\n  frame_rate: 0\n", "sim.frame_rate"),
+                   ("sim:\n  object_count: 0\n", "sim.object_count"),
+                   ("sim:\n  object_count: -3\n", "sim.object_count"),
+                   ("sim:\n  ego_motion: arc\n  ego_arc_radius: 0\n",
+                    "sim.ego_arc_radius"),
+                   ("noise:\n  confidence_d0: 0\n", "noise.confidence_d0")]
 
     def test_bad_config_file(self, tmp_path, capsys):
         for i, (text, named) in enumerate(self.BAD_CONFIGS):

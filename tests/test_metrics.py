@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from autolabel3d.core import (Annotation, Box2D, Box3D, CameraIntrinsics,
                               Frame, InvalidArgument, Provenance, Pseudolabel,
@@ -139,6 +141,16 @@ class TestClearMot:
         _, _, counts, _ = clear_mot(seq, preds)
         assert counts.idsw == 0 and counts.tp == 10
 
+    def test_carried_match_beats_a_nearer_newcomer(self):
+        # frame 1 adds a prediction nearer than the one matched at frame 0;
+        # the carried correspondence stays within the threshold and wins
+        seq = make_seq({0: {f: (0, 0, 10) for f in range(2)}}, 2)
+        preds = [pl(1, f, (0.9, 0, 10)) for f in range(2)]
+        preds += [pl(2, 1, (0.1, 0, 10))]
+        _, _, counts, dist_sum = clear_mot(seq, preds)
+        assert (counts.tp, counts.fp, counts.idsw) == (2, 1, 0)
+        assert dist_sum == pytest.approx(1.8, abs=1e-12)
+
     def test_relabel_invariance(self):
         seq = make_seq({0: {f: (0, 0, 10 + f) for f in range(4)},
                         1: {f: (6, 0, 10 + f) for f in range(4)}}, 4)
@@ -260,3 +272,123 @@ class TestEvaluate:
         assert rep.counts.gt_total == 12
         assert rep.dist_threshold == 2.0
         assert len(rep.per_recall) == 20
+
+
+class TestOffSequencePredictions:
+    @pytest.mark.parametrize("fn", [clear_mot, idf1, amota_amotp, evaluate],
+                             ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("frame", [1, 7])
+    def test_rejected_naming_the_frame(self, fn, frame):
+        # frames 0, 2, 3: frame 1 is a gap, frame 7 lies past the end
+        seq = make_seq({0: {f: (0, 0, 10 + f) for f in range(4)}}, 4)
+        seq = dataclasses.replace(
+            seq, frames=tuple(f for f in seq.frames if f.frame_index != 1))
+        preds = perfect_preds(seq) + [pl(5, frame, (0, 0, 10 + frame))]
+        with pytest.raises(InvalidArgument,
+                           match=f"track 5 at frame {frame}: sequence 'm'"):
+            fn(seq, preds)
+
+
+# -- AMOTA by one clear_mot per threshold and IDF1 by a dummy-padded
+# assignment: the oracles of the association table the metrics share
+
+def reference_amota(seq, preds, dist_threshold):
+    """AMOTA/AMOTP from one public ``clear_mot`` per confidence threshold."""
+    gt_total = sum(len(f.annotations) for f in seq.frames)
+    sweep = []  # (recall, counts, mean matched distance), by falling threshold
+    for th in sorted({p.confidence for p in preds}, reverse=True):
+        kept = [p for p in preds if p.confidence >= th]
+        _, _, c, dist_sum = clear_mot(seq, kept, dist_threshold)
+        sweep.append((c.tp / gt_total, c, dist_sum / c.tp if c.tp else None))
+    motars, motps = [], []
+    for r in DEFAULT_RECALL_GRID:
+        reached = [s for s in sweep if s[0] >= r]
+        if not reached:
+            motars.append(0.0)
+            continue
+        _, c, motp = min(reached, key=lambda s: s[0])
+        fn_r = max(c.fn, (1.0 - r) * gt_total)
+        motars.append(max(1.0 - (c.idsw + c.fp + fn_r - (1.0 - r) * gt_total)
+                          / (r * gt_total), 0.0))
+        if motp is not None:
+            motps.append(motp)
+    return float(np.mean(motars)), float(np.mean(motps)) if motps else 0.0
+
+
+def reference_idf1(seq, preds, dist_threshold):
+    """IDF1 by min-cost assignment over trajectories padded with dummies:
+    pairing g with p costs IDFN + IDFP, leaving a trajectory unmatched
+    costs its length."""
+    gt, pr = {}, {}  # track -> {frame: center}
+    for f in seq.frames:
+        for a in f.annotations:
+            gt.setdefault(a.track_id, {})[f.frame_index] = np.array(
+                a.box3d.center)
+    for p in preds:
+        pr.setdefault(p.track_id, {})[p.frame_index] = np.array(p.box3d.center)
+    total_gt = sum(len(t) for t in gt.values())
+    total_pr = sum(len(t) for t in pr.values())
+    if total_gt == 0 and total_pr == 0:
+        return 1.0
+    g_ids, p_ids = sorted(gt), sorted(pr)
+    ng, np_ = len(g_ids), len(p_ids)
+    cost = np.full((ng + np_, ng + np_), np.inf)
+    cost[ng:, np_:] = 0.0
+    overlap = np.zeros((ng, np_), dtype=int)
+    for i, g in enumerate(g_ids):
+        cost[i, np_ + i] = len(gt[g])
+        for j, p in enumerate(p_ids):
+            overlap[i, j] = sum(
+                float(np.linalg.norm(gt[g][fi] - pr[p][fi])) <= dist_threshold
+                for fi in gt[g].keys() & pr[p].keys())
+            cost[i, j] = len(gt[g]) + len(pr[p]) - 2 * overlap[i, j]
+    for j, p in enumerate(p_ids):
+        cost[ng + j, j] = len(pr[p])
+    idtp = sum(overlap[i, j] for i, j in hungarian(cost).items()
+               if i < ng and j < np_)
+    return 2.0 * idtp / (2.0 * idtp + (total_gt - idtp) + (total_pr - idtp))
+
+
+@st.composite
+def scenes(draw):
+    """A few tracks over frames with index gaps and unannotated frames, and
+    predictions in any order with tied confidences, some of them exactly
+    ``dist_threshold`` from a gt centre."""
+    thr = draw(st.sampled_from([0.5, 2.0]))
+    frame_ids = sorted(draw(st.lists(st.integers(0, 12), min_size=1,
+                                     max_size=6, unique=True)))
+    coord = st.integers(-4, 4).map(lambda v: 0.5 * v)
+    tracks = {tid: {fi: (draw(coord), 0.0, 10.0 + draw(coord))
+                    for fi in frame_ids if draw(st.booleans())}
+              for tid in range(draw(st.integers(0, 3)))}
+    seq = make_seq(tracks, frame_ids[-1] + 1)
+    seq = dataclasses.replace(seq, frames=tuple(
+        f for f in seq.frames if f.frame_index in frame_ids))
+    offsets = [(0.0, 0.0, 0.0), (thr, 0.0, 0.0), (0.0, 0.0, -thr),
+               (0.25, 0.0, 0.25), (thr, 0.0, thr)]
+    preds = []
+    for tid in range(10, 10 + draw(st.integers(0, 4))):
+        for f in seq.frames:
+            kind = draw(st.sampled_from(["none", "near", "free"]))
+            if kind == "near" and f.annotations:
+                gt = draw(st.sampled_from(f.annotations)).box3d.center
+                off = draw(st.sampled_from(offsets))
+                center = tuple(c + o for c, o in zip(gt, off))
+            elif kind != "none":
+                center = (draw(coord), 0.0, 10.0 + draw(coord))
+            else:
+                continue
+            preds.append(pl(tid, f.frame_index, center,
+                            conf=draw(st.sampled_from([0.25, 0.5, 1.0]))))
+    return seq, draw(st.permutations(preds)), thr
+
+
+class TestSharedAssociation:
+    @settings(max_examples=300, deadline=None)
+    @given(scenes())
+    def test_matches_per_threshold_clear_mot_and_padded_idf1(self, scene):
+        seq, preds, thr = scene
+        assert idf1(seq, preds, thr) == reference_idf1(seq, preds, thr)
+        if any(f.annotations for f in seq.frames):
+            amota, amotp, _ = amota_amotp(seq, preds, thr)
+            assert (amota, amotp) == reference_amota(seq, preds, thr)

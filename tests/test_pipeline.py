@@ -157,8 +157,9 @@ class TestPropagate:
         prov = Exploding(seq, {})
         hyps = propagate(seq, sparse_for(seq, {0: [0]}), prov,
                          PipelineConfig(), FORWARD)
-        assert 1 not in labeled_frames(hyps, 0)
-        assert any("frame 1" in d for d in hyps[0].diagnostics)
+        # the failed frame is skipped like a dropout, and the segment goes on
+        assert labeled_frames(hyps, 0) == set(range(12)) - {1}
+        assert hyps[0].status == STATUS_ACTIVE
 
     def test_bad_direction(self, seq):
         with pytest.raises(InvalidArgument):

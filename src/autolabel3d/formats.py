@@ -16,7 +16,7 @@ import numpy as np
 from .core import (Annotation, Box2D, Box3D, CameraIntrinsics, Frame,
                    Heatmap, InvalidArgument, Mask2D, Provenance, Pseudolabel,
                    Sequence, normalize_yaw)
-from .geometry import direction_of
+from .geometry import direction_at
 
 SCHEMA_VERSION = 1
 DEFAULT_VEHICLE_CATEGORIES = frozenset({"Car", "Van"})
@@ -173,11 +173,10 @@ def kitti_rows_to_sequence(rows, intrinsics: CameraIntrinsics, seq_id: str = "ki
         seen.add(key)
         h, w, l = r.dims
         x, y, z = r.location
+        center = (x, y - h / 2.0, z)
         yaw = normalize_yaw(r.rotation_y)
-        box3d = Box3D(center=(x, y - h / 2.0, z), dims=(l, w, h), yaw=yaw,
-                      direction="towards")
-        box3d = Box3D(center=box3d.center, dims=box3d.dims, yaw=box3d.yaw,
-                      direction=direction_of(box3d))
+        box3d = Box3D(center=center, dims=(l, w, h), yaw=yaw,
+                      direction=direction_at(center, yaw))
         ann = Annotation(
             frame_index=r.frame,
             track_id=r.track_id,

@@ -90,12 +90,18 @@ def yaw_from_keypoints(k: Keypoints3D, d: str) -> float:
     raise InvalidArgument(f"unknown direction {d!r}")
 
 
-def direction_of(b: Box3D) -> str:
-    """Towards iff the heading points back at the camera; ties -> towards."""
-    hx, _, hz = heading_vector(b.yaw)
-    cx, _, cz = b.center
+def direction_at(center, yaw: float) -> str:
+    """Towards iff a heading of ``yaw`` at ``center`` points back at the
+    camera; ties -> towards."""
+    hx, _, hz = heading_vector(yaw)
+    cx, _, cz = center
     dot = hx * (-cx) + hz * (-cz)
     return TOWARDS if dot >= 0 else AWAY
+
+
+def direction_of(b: Box3D) -> str:
+    """The direction of a box (``direction_at`` its centre and yaw)."""
+    return direction_at(b.center, b.yaw)
 
 
 def lift_keypoints(pk: PixelKeypoints, K: CameraIntrinsics) -> Keypoints3D:

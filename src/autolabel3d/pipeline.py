@@ -45,6 +45,9 @@ class PipelineConfig:
             raise InvalidArgument("max_consecutive_misses must be >= 1")
         if self.merge_tie_break not in (FORWARD, BACKWARD):
             raise InvalidArgument(f"bad tie break {self.merge_tie_break!r}")
+        if not 0.0 <= self.fncomp_floor <= 1.0:
+            raise InvalidArgument("pipeline.fncomp_floor must lie in [0, 1], "
+                                  f"got {self.fncomp_floor!r}")
 
 
 @dataclass

@@ -13,14 +13,14 @@ means driving along +Z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from .core import (Annotation, Box2D, Box3D, CameraIntrinsics, Frame,
-                   InvalidArgument, Mask2D, Sequence)
-from .geometry import direction_of, project
+                   InvalidArgument, Mask2D, Sequence, normalize_yaw)
+from .geometry import direction_at
 
 DEFAULT_INTRINSICS = dict(fx=721.54, fy=721.54, cx=609.56, cy=172.85,
                           width=1242, height=375)
@@ -30,6 +30,10 @@ MOTION_CTRV = "constant-turn-rate-velocity"
 
 _RANGES = ("object_speed", "turn_rate", "length_range", "width_range",
            "height_range", "spawn_x", "spawn_z")
+
+# (sx, sy, sz) of the 8 box corners along (heading, lateral, up)
+_SIGNS = np.array([(sx, sy, sz) for sx in (-1.0, 1.0) for sy in (-1.0, 1.0)
+                   for sz in (-1.0, 1.0)])
 
 
 @dataclass(frozen=True)
@@ -65,11 +69,18 @@ class SimConfig:
         if self.object_count < 1:
             raise InvalidArgument(
                 f"sim.object_count must be >= 1, got {self.object_count!r}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(f.default, float) and not math.isfinite(v):
+                raise InvalidArgument(f"sim.{f.name} must be finite, got {v!r}")
         for name in _RANGES:
             pair = getattr(self, name)
             if len(pair) != 2:
                 raise InvalidArgument(
                     f"sim.{name} must be a (low, high) pair, got {pair!r}")
+            if not all(map(math.isfinite, pair)):
+                raise InvalidArgument(
+                    f"sim.{name} must be finite, got {pair!r}")
             if pair[1] < pair[0]:
                 raise InvalidArgument(f"sim.{name}: empty range {pair!r}")
         if self.ego_speed < 0 or self.object_speed[0] < 0:
@@ -106,9 +117,10 @@ class _ObjectState:
     dims: tuple[float, float, float]  # (l, w, h)
 
 
-def _convex_hull(points: np.ndarray) -> np.ndarray:
-    """Monotone-chain hull of 2D points, counterclockwise."""
-    pts = np.unique(points, axis=0)
+def _convex_hull(points: np.ndarray) -> list[tuple[float, float]]:
+    """Monotone-chain hull of 2D points, counterclockwise, from the
+    lexicographically sorted distinct points (all of them when at most 2)."""
+    pts = sorted(set(map(tuple, points.tolist())))
     if len(pts) <= 2:
         return pts
 
@@ -124,23 +136,45 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    return np.array(lower[:-1] + upper[:-1])
+    return lower[:-1] + upper[:-1]
 
 
 def _hull_mask(corners_uv: np.ndarray, left: int, top: int,
                w: int, h: int) -> Optional[Mask2D]:
+    """Pixels of the ``w x h`` window at (left, top) whose centre
+    ``(u, v) = (left + 0.5 + col, top + 0.5 + row)`` passes the test
+    ``(bx-ax)*(v-ay) - (by-ay)*(u-ax) >= 0`` of every hull edge a -> b.
+
+    Each row is filled as one column span ``[lo, hi)``, with one
+    ``searchsorted`` per edge, and the mask is the full-grid test's bit for
+    bit. With ``A[row] = (bx-ax)*(v-ay)`` and ``B[col] = (by-ay)*(u-ax)``,
+    rounded exactly as the full-grid expression rounds them, the test is
+    ``fl(A - B) >= 0``, which for finite doubles holds iff ``A >= B``:
+    rounding keeps the sign of a difference, and with gradual underflow
+    ``A - B`` rounds to 0 only when ``A == B``. Correctly rounded ``-`` and
+    ``*`` by a constant are monotone, so ``B`` is non-decreasing in the
+    column when ``by-ay >= 0`` and the edge keeps the prefix of the row where
+    ``B <= A``, and it is non-increasing otherwise and the edge keeps a
+    suffix.
+    """
     hull = _convex_hull(corners_uv)
     if len(hull) < 3:
         return None
-    us = left + 0.5 + np.arange(w)
-    vs = top + 0.5 + np.arange(h)
-    uu, vv = np.meshgrid(us, vs)
-    inside = np.ones((h, w), dtype=bool)
-    n = len(hull)
-    for i in range(n):
-        ax, ay = hull[i]
-        bx, by = hull[(i + 1) % n]
-        inside &= (bx - ax) * (vv - ay) - (by - ay) * (uu - ax) >= 0
+    # edge k runs from a = hull[k] to b = hull[k + 1], wrapping around
+    a = np.array(hull)
+    d = np.array(hull[1:] + hull[:1]) - a                     # (bx-ax, by-ay)
+    rows = d[:, :1] * (top + 0.5 + np.arange(h) - a[:, 1:])   # A of each edge
+    cols = d[:, 1:] * (left + 0.5 + np.arange(w) - a[:, :1])  # B of each edge
+    lo = np.zeros(h, dtype=np.intp)
+    hi = np.full(h, w, dtype=np.intp)
+    for k, dy in enumerate(d[:, 1].tolist()):
+        if dy >= 0:
+            np.minimum(hi, cols[k].searchsorted(rows[k], "right"), out=hi)
+        else:
+            np.maximum(lo, w - cols[k, ::-1].searchsorted(rows[k], "right"),
+                       out=lo)
+    span = np.arange(w)
+    inside = (span >= lo[:, None]) & (span < hi[:, None])
     if not inside.any():
         return None
     return Mask2D(origin=(left, top), bitmap=inside)
@@ -212,13 +246,15 @@ def simulate(cfg: SimConfig) -> Sequence:
             heading = np.array([math.cos(yaw), 0.0, -math.sin(yaw)])
             lateral = np.array([math.sin(yaw), 0.0, math.cos(yaw)])
             up = np.array([0.0, 1.0, 0.0])
-            corners = np.array([
-                center_c + sx * (l / 2) * heading + sy * (w / 2) * lateral
-                + sz * (h / 2) * up
-                for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
+            corners = (center_c + _SIGNS[:, :1] * (l / 2) * heading
+                       + _SIGNS[:, 1:2] * (w / 2) * lateral
+                       + _SIGNS[:, 2:] * (h / 2) * up)
             if corners[:, 2].min() <= 0.1:
                 continue
-            uv = np.array([project(c, K) for c in corners])
+            # geometry.project, one corner per row
+            uv = np.stack([K.fx * corners[:, 0] / corners[:, 2] + K.cx,
+                           K.fy * corners[:, 1] / corners[:, 2] + K.cy],
+                          axis=1)
             left = max(uv[:, 0].min(), 0.0)
             right = min(uv[:, 0].max(), float(K.width))
             top = max(uv[:, 1].min(), 0.0)
@@ -227,10 +263,11 @@ def simulate(cfg: SimConfig) -> Sequence:
                 continue
             box2d = Box2D.from_corners(left, top, right, bottom)
 
-            box3d = Box3D(center=tuple(center_c), dims=(l, w, h), yaw=yaw,
-                          direction="towards")
-            box3d = Box3D(center=box3d.center, dims=box3d.dims, yaw=box3d.yaw,
-                          direction=direction_of(box3d))
+            # the center and yaw Box3D stores, which direction_at must see
+            center = tuple(float(c) for c in center_c)
+            yaw = normalize_yaw(yaw)
+            box3d = Box3D(center=center, dims=(l, w, h), yaw=yaw,
+                          direction=direction_at(center, yaw))
 
             mask = None
             if cfg.with_masks:
@@ -243,15 +280,17 @@ def simulate(cfg: SimConfig) -> Sequence:
                                    occlusion_level=0, mask=mask))
 
         # occlusion needs every annotation in the frame
+        fractions = _occlusion_fractions(anns)
         final = []
         for a in anns:
-            frac = _occlusion_fraction(a, anns)
+            frac = fractions[a.track_id]
             final.append(Annotation(
                 frame_index=a.frame_index, track_id=a.track_id, box2d=a.box2d,
                 box3d=a.box3d, occlusion_level=occlusion_level(frac),
                 mask=a.mask, visibility=visibility_from_fraction(frac)))
-        frames.append(Frame(frame_index=t, ego_pose=pose,
-                            annotations=tuple(final)))
+        frame = Frame(frame_index=t, ego_pose=pose, annotations=tuple(final))
+        object.__setattr__(frame, _OCCLUSION, fractions)
+        frames.append(frame)
 
         # step kinematics
         ego_x += cfg.ego_speed * math.sin(ego_phi) * dt
@@ -262,6 +301,10 @@ def simulate(cfg: SimConfig) -> Sequence:
             obj.z += obj.speed * math.cos(obj.phi) * dt
             obj.phi += obj.omega * dt
 
+    if not any(f.annotations for f in frames):
+        raise InvalidArgument(
+            f"sim: the scene has no annotation: none of its {cfg.object_count}"
+            f" objects is in view in any of its {cfg.duration} frames")
     return Sequence(id=cfg.sequence_id, intrinsics=K, frames=tuple(frames),
                     frame_rate=cfg.frame_rate)
 
@@ -282,32 +325,58 @@ def _rect_union_area(rects: list[tuple[float, float, float, float]]) -> float:
     return area
 
 
-def _occlusion_fraction(target: Annotation, anns: list[Annotation]) -> float:
-    tb = target.box2d
-    covers = []
-    for other in anns:
-        if other.track_id == target.track_id:
+def _occlusion_fractions(anns) -> dict[int, float]:
+    """Fraction of each annotated track's 2D box covered by the boxes of
+    strictly nearer objects of other tracks (for a track annotated more than
+    once, of its first box): the union area of those boxes clipped to it,
+    over its area, capped at 1."""
+    fractions: dict[int, float] = {}
+    if not anns:
+        return fractions
+    edges = np.array([(a.box2d.left, a.box2d.top, a.box2d.right,
+                       a.box2d.bottom) for a in anns])
+    depth = np.array([a.box3d.center[2] for a in anns])
+    track = np.array([a.track_id for a in anns])
+    # row i: every box clipped to box i
+    lo = np.maximum(edges[:, None, :2], edges[None, :, :2])
+    hi = np.minimum(edges[:, None, 2:], edges[None, :, 2:])
+    covers = ((track[:, None] != track[None, :])
+              & (depth[None, :] < depth[:, None])
+              & (hi > lo).all(axis=2))
+    for i, a in enumerate(anns):
+        if a.track_id in fractions:
             continue
-        if other.box3d.center[2] >= target.box3d.center[2]:
+        js = np.flatnonzero(covers[i])
+        if not len(js):
+            fractions[a.track_id] = 0.0
             continue
-        ob = other.box2d
-        left = max(tb.left, ob.left)
-        top = max(tb.top, ob.top)
-        right = min(tb.right, ob.right)
-        bottom = min(tb.bottom, ob.bottom)
-        if right > left and bottom > top:
-            covers.append((left, top, right, bottom))
-    if not covers:
-        return 0.0
-    return min(_rect_union_area(covers) / (tb.w * tb.h), 1.0)
+        rects = np.concatenate([lo[i, js], hi[i, js]], axis=1).tolist()
+        tb = a.box2d
+        fractions[a.track_id] = min(_rect_union_area(rects) / (tb.w * tb.h),
+                                    1.0)
+    return fractions
+
+
+# attribute of a Frame holding its fractions; not a dataclass field, so
+# Frame equality and hashing ignore it
+_OCCLUSION = "_occlusion_fractions"
 
 
 def occlusion_fraction(frame: Frame, track_id: int) -> float:
-    """Fraction of the object's 2D box covered by strictly nearer objects."""
-    for a in frame.annotations:
-        if a.track_id == track_id:
-            return _occlusion_fraction(a, list(frame.annotations))
-    raise KeyError(f"track {track_id} not annotated in frame {frame.frame_index}")
+    """Fraction of the object's 2D box covered by strictly nearer objects.
+
+    A frame's fractions are computed on its first query (``simulate`` fills
+    them in as it builds the frame) and kept on the frame, so every provider
+    and stage reading one in-memory sequence shares them.
+    """
+    fractions = getattr(frame, _OCCLUSION, None)
+    if fractions is None:
+        fractions = _occlusion_fractions(frame.annotations)
+        object.__setattr__(frame, _OCCLUSION, fractions)
+    if track_id not in fractions:
+        raise KeyError(
+            f"track {track_id} not annotated in frame {frame.frame_index}")
+    return fractions[track_id]
 
 
 def occlusion_level(fraction: float) -> int:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,15 @@ sim:
   object_count: 3
   seed: 0
 noise: noiseless
+"""
+
+# the scene of tests/data/e2e_digests.txt
+DIGEST_CONFIG = """\
+sim:
+  duration: 20
+  object_count: 12
+  ego_motion: arc
+  ego_arc_radius: 60.0
 """
 
 
@@ -70,6 +80,20 @@ class TestE2E:
                    "--sweep", "max_per_track=2,4")
         assert calls == []
         assert code == 0
+
+    def test_matches_golden_digests(self, tmp_path):
+        # an arc scene with masks and every occlusion level, under noise;
+        # the digests were taken from an earlier release of the program
+        lines = (DATA / "e2e_digests.txt").read_text().splitlines()
+        want = dict(reversed(line.split()) for line in lines
+                    if not line.startswith("#"))
+        cfg = write_config(tmp_path, DIGEST_CONFIG)
+        out = tmp_path / "out"
+        assert run("--config", cfg, "--out", str(out), "e2e", "--seed", "3",
+                   "--noise", "medium") == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir()}
+        assert got == want
 
     # (--sweep spec, the part of it the error must name)
     BAD_SWEEPS = [("window=1,2", "window=1,2"), ("max_per_track=a", "'a'"),
@@ -193,7 +217,17 @@ class TestStepwise:
                    ("sim:\n  object_count: -3\n", "sim.object_count"),
                    ("sim:\n  ego_motion: arc\n  ego_arc_radius: 0\n",
                     "sim.ego_arc_radius"),
-                   ("noise:\n  confidence_d0: 0\n", "noise.confidence_d0")]
+                   ("noise:\n  confidence_d0: 0\n", "noise.confidence_d0"),
+                   ("sim:\n  spawn_x: [.nan, 1.0]\n", "sim.spawn_x"),
+                   ("sim:\n  spawn_z: [8.0, .inf]\n", "sim.spawn_z"),
+                   ("sim:\n  ego_speed: .nan\n", "sim.ego_speed"),
+                   ("sim:\n  camera_height: .inf\n", "sim.camera_height"),
+                   ("sim:\n  frame_rate: .inf\n", "sim.frame_rate"),
+                   ("pipeline:\n  fncomp_floor: 5\n", "pipeline.fncomp_floor"),
+                   ("pipeline:\n  fncomp_floor: -3\n",
+                    "pipeline.fncomp_floor"),
+                   ("sim:\n  camera_height: -100\n", "sim: "),
+                   ("sim:\n  spawn_z: [-50, -40]\n  layout: grid\n", "sim: ")]
 
     def test_bad_config_file(self, tmp_path, capsys):
         for i, (text, named) in enumerate(self.BAD_CONFIGS):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from autolabel3d import simulator
 from autolabel3d.core import Box2D, InvalidArgument
+from autolabel3d.formats import parse_sequence, serialize_sequence
 from autolabel3d.geometry import project_keypoints
 from autolabel3d.providers import (NoiseConfig, OracleProviderSet,
                                    gaussian_radius, heatmap_shape,
@@ -105,6 +107,38 @@ class TestMatch:
                                                       seed=s))
             boxes.append(prov.match(fi, 0, fi).box2d)
         assert boxes[0] != boxes[1]
+
+
+class TestOcclusionMemo:
+    NOISE = NoiseConfig(match_dropout_base=0.2, dropout_occlusion_gain=0.6,
+                        confidence_k_occ=0.6, seed=4)
+
+    def test_second_provider_set_does_not_recompute(self, monkeypatch):
+        # a parsed sequence starts with no fractions on its frames
+        seq = parse_sequence(serialize_sequence(
+            simulate(SimConfig(seed=2, duration=8, object_count=10))))
+        real = simulator._occlusion_fractions
+        computed = []
+        monkeypatch.setattr(simulator, "_occlusion_fractions",
+                            lambda anns: computed.append(anns) or real(anns))
+        queries = [(f.frame_index, a.track_id)
+                   for f in seq.frames for a in f.annotations]
+        first = [OracleProviderSet(seq, self.NOISE).match(fi, t, fi)
+                 for fi, t in queries]
+        assert len(computed) == len(seq.frames)
+        second = [OracleProviderSet(seq, self.NOISE).match(fi, t, fi)
+                  for fi, t in queries]
+        assert len(computed) == len(seq.frames)
+        assert first == second
+
+    def test_simulated_fractions_match_a_parsed_copy(self):
+        simulated = simulate(SimConfig(seed=2, duration=8, object_count=10))
+        parsed = parse_sequence(serialize_sequence(simulated))
+        fractions = [occlusion_fraction(f, a.track_id)
+                     for f in simulated.frames for a in f.annotations]
+        assert any(fractions)
+        assert fractions == [occlusion_fraction(f, a.track_id)
+                             for f in parsed.frames for a in f.annotations]
 
 
 class TestEstimate:

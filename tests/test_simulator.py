@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from autolabel3d.core import Annotation, Box2D, Box3D, InvalidArgument
 from autolabel3d.formats import serialize_sequence
 from autolabel3d.geometry import heading_vector
-from autolabel3d.simulator import (SimConfig, _occlusion_fraction,
-                                   _rect_union_area, occlusion_fraction,
+from autolabel3d.simulator import (SimConfig, _convex_hull, _hull_mask,
+                                   _occlusion_fractions, _rect_union_area,
+                                   occlusion_fraction,
                                    occlusion_level, simulate,
                                    visibility_from_fraction)
 
@@ -17,6 +19,93 @@ def ann(track_id, box2d, z):
                       box3d=Box3D(center=(0, 0, z), dims=(4, 1.8, 1.5),
                                   yaw=0.0, direction="towards"),
                       occlusion_level=0)
+
+
+def unique_hull(points):
+    """The hull over ``np.unique(points, axis=0)``, as an array."""
+    pts = np.unique(points, axis=0)
+    if len(pts) <= 2:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower, upper = [], []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    for p in pts[::-1]:
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return np.array(lower[:-1] + upper[:-1])
+
+
+def full_grid_mask(points, left, top, w, h):
+    """Every pixel centre of the window tested against every hull edge."""
+    hull = unique_hull(points)
+    if len(hull) < 3:
+        return None
+    uu, vv = np.meshgrid(left + 0.5 + np.arange(w), top + 0.5 + np.arange(h))
+    inside = np.ones((h, w), dtype=bool)
+    for i in range(len(hull)):
+        ax, ay = hull[i]
+        bx, by = hull[(i + 1) % len(hull)]
+        inside &= (bx - ax) * (vv - ay) - (by - ay) * (uu - ax) >= 0
+    return inside if inside.any() else None
+
+
+@st.composite
+def hull_inputs(draw):
+    """Up to 10 points and a pixel window. Coordinates come from a small
+    pool, so points repeat and share rows, columns and diagonals; pool
+    values include pixel centres (k + 0.5), pixel edges and arbitrary
+    floats. The window may cut the hull, miss it or be one pixel."""
+    value = st.one_of(st.integers(-4, 40).map(lambda k: k + 0.5),
+                      st.integers(-4, 40).map(float),
+                      st.floats(-4.0, 40.0).map(lambda x: x + 0.0))
+    xs = draw(st.lists(value, min_size=1, max_size=5))
+    ys = draw(st.lists(value, min_size=1, max_size=5))
+    k = draw(st.integers(1, 10))
+    if draw(st.booleans()):  # on one line: (x0, y0) + t (dx, dy)
+        x0, y0 = draw(st.sampled_from(xs)), draw(st.sampled_from(ys))
+        dx, dy = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        ts = draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))
+        pts = [(x0 + t * dx, y0 + t * dy) for t in ts]
+        pts += [(draw(st.sampled_from(xs)), draw(st.sampled_from(ys)))
+                for _ in range(draw(st.integers(0, 2)))]
+    else:
+        pts = [(draw(st.sampled_from(xs)), draw(st.sampled_from(ys)))
+               for _ in range(k)]
+    left, top = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+    w, h = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    return np.array(pts, dtype=float), left, top, w, h
+
+
+class TestHullMask:
+    @settings(max_examples=400, deadline=None)
+    @given(hull_inputs())
+    def test_equals_full_grid_and_unique_hull(self, case):
+        points, left, top, w, h = case
+        hull = np.array(_convex_hull(points)).reshape(-1, 2)
+        want_hull = unique_hull(points)
+        assert np.array_equal(hull.view(np.uint64), want_hull.view(np.uint64))
+        got = _hull_mask(points, left, top, w, h)
+        want = full_grid_mask(points, left, top, w, h)
+        if want is None:
+            assert got is None
+        else:
+            assert got.origin == (left, top)
+            assert np.array_equal(got.bitmap, want)
+
+    def test_vertices_on_pixel_centres_are_inside(self):
+        # a triangle whose every vertex and edge passes through pixel centres
+        points = np.array([[0.5, 0.5], [4.5, 0.5], [0.5, 4.5], [0.5, 0.5]])
+        got = _hull_mask(points, 0, 0, 5, 5).bitmap
+        assert np.array_equal(got, np.add.outer(np.arange(5), np.arange(5))
+                              <= 4)
+        assert _hull_mask(points[[0, 1, 0]], 0, 0, 5, 5) is None
 
 
 class TestRectUnion:
@@ -52,25 +141,25 @@ class TestOcclusionFraction:
     def test_no_overlap(self):
         target = ann(0, Box2D(50, 50, 20, 20), z=20)
         other = ann(1, Box2D(200, 50, 20, 20), z=10)
-        assert _occlusion_fraction(target, [target, other]) == 0.0
+        assert _occlusion_fractions([target, other])[0] == 0.0
 
     def test_half_covered(self):
         target = ann(0, Box2D(50, 50, 20, 20), z=20)  # spans [40, 60]
         # nearer box spanning [30, 50]: covers exactly the left half
         other = ann(1, Box2D(40, 50, 20, 20), z=10)
-        assert _occlusion_fraction(target, [target, other]) == pytest.approx(0.5)
+        assert _occlusion_fractions([target, other])[0] == pytest.approx(0.5)
 
     def test_farther_box_does_not_occlude(self):
         target = ann(0, Box2D(50, 50, 20, 20), z=10)
         other = ann(1, Box2D(50, 50, 20, 20), z=20)
-        assert _occlusion_fraction(target, [target, other]) == 0.0
+        assert _occlusion_fractions([target, other])[0] == 0.0
 
     def test_union_not_double_counted(self):
         target = ann(0, Box2D(50, 50, 40, 40), z=30)  # spans [30, 70]^2
         # two identical nearer boxes covering the same corner quarter
         a = ann(1, Box2D(40, 40, 20, 20), z=10)
         b = ann(2, Box2D(40, 40, 20, 20), z=15)
-        frac = _occlusion_fraction(target, [target, a, b])
+        frac = _occlusion_fractions([target, a, b])[0]
         assert frac == pytest.approx(400.0 / 1600.0)
 
     def test_levels_table(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import yaml
@@ -64,12 +65,14 @@ class MetricsConfig:
     recall_grid: tuple[float, ...] = DEFAULT_RECALL_GRID
 
     def __post_init__(self):
-        if self.dist_threshold <= 0:
-            raise InvalidArgument("metrics.dist_threshold must be positive")
+        if not 0 < self.dist_threshold < math.inf:
+            raise InvalidArgument("metrics.dist_threshold must be finite and "
+                                  f"positive, got {self.dist_threshold!r}")
         if not self.recall_grid:
             raise InvalidArgument("metrics.recall_grid must not be empty")
         if any(not 0 < r <= 1 for r in self.recall_grid):
-            raise InvalidArgument("recall grid values must lie in (0, 1]")
+            raise InvalidArgument("metrics.recall_grid values must lie in "
+                                  f"(0, 1], got {list(self.recall_grid)!r}")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ pairs within it and their distances: AMOTA runs a CLEAR-MOT pass per
 confidence threshold over that table, and IDF1 counts trajectory overlaps
 from its pairs. CLEAR-MOT keeps the previous frame's correspondence alive
 while it stays within the threshold, so identity switches are well defined.
+A frame's assignment depends only on which of its gt and pred tracks are
+still open, so passes that share a memo solve each distinct one once.
 """
 
 from __future__ import annotations
@@ -15,12 +17,88 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import InvalidArgument, Pseudolabel, Sequence
 
 DEFAULT_DIST_THRESHOLD = 2.0
 DEFAULT_RECALL_GRID = tuple(round(0.05 * i, 2) for i in range(1, 21))
+
+
+def _lsap(rows: list[list[float]]) -> tuple[list[int], list[int]]:
+    """Minimum-cost assignment of a finite cost matrix by shortest
+    augmenting paths (Crouse 2016): a step-for-step port of the reference
+    C++ ``rectangular_lsap``, with its transposition, column order, tie rule
+    and dual-update order, so it returns the reference's (rows, cols), ties
+    included; ``tests/test_metrics.py`` compares the two."""
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    if nr == 0 or nc == 0:
+        return [], []
+    transpose = nc < nr
+    cost = [list(col) for col in zip(*rows)] if transpose else rows
+    if transpose:
+        nr, nc = nc, nr
+    u = [0.0] * nr
+    v = [0.0] * nc
+    path = [-1] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for cur in range(nr):
+        # shortest augmenting path from row ``cur``; filling ``remaining``
+        # in reverse makes a constant matrix solve to the identity
+        remaining = list(range(nc - 1, -1, -1))
+        n_rem = nc
+        in_sr = [False] * nr
+        in_sc = [False] * nc
+        spc = [math.inf] * nc
+        min_val = 0.0
+        i = cur
+        sink = -1
+        while sink == -1:
+            index = -1
+            lowest = math.inf
+            in_sr[i] = True
+            c_i, u_i = cost[i], u[i]
+            for it in range(n_rem):
+                j = remaining[it]
+                r = min_val + c_i[j] - u_i - v[j]
+                if r < spc[j]:
+                    path[j] = i
+                    spc[j] = r
+                # on a tie prefer a column that ends the path
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
+                    lowest = spc[j]
+                    index = it
+            min_val = lowest
+            if min_val == math.inf:
+                raise InvalidArgument("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            in_sc[j] = True
+            n_rem -= 1
+            remaining[index] = remaining[n_rem]
+        # update the duals, then augment along the path
+        u[cur] += min_val
+        for i in range(nr):
+            if in_sr[i] and i != cur:
+                u[i] += min_val - spc[col4row[i]]
+        for j in range(nc):
+            if in_sc[j]:
+                v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        order = sorted(range(nr), key=col4row.__getitem__)
+        return [col4row[k] for k in order], order
+    return list(range(nr)), col4row
 
 
 def hungarian(cost: np.ndarray) -> dict[int, int]:
@@ -33,9 +111,8 @@ def hungarian(cost: np.ndarray) -> dict[int, int]:
     finite = c[np.isfinite(c)]
     big = (float(np.abs(finite).sum()) if finite.size else 0.0) + 1.0
     work = np.where(np.isfinite(c), c, big)
-    rows, cols = linear_sum_assignment(work)
-    return {int(r): int(col) for r, col in zip(rows, cols)
-            if math.isfinite(c[r, col])}
+    rows, cols = _lsap(work.tolist())
+    return {r: col for r, col in zip(rows, cols) if math.isfinite(c[r, col])}
 
 
 @dataclass(frozen=True)
@@ -92,8 +169,10 @@ def _association(seq: Sequence, preds: list[Pseudolabel],
                 f"frame {p.frame_index}")
         by_frame[i][p.track_id] = p
     # a vectorised squared distance, with a margin far above its rounding,
-    # picks the candidates; the scalar norm decides and is the distance
-    bound = (dist_threshold * (1.0 + 1e-6)) ** 2
+    # picks the candidates; the scalar norm decides and is the distance.
+    # A product, unlike ``** 2``, saturates to inf on a huge threshold
+    margin = dist_threshold * (1.0 + 1e-6)
+    bound = margin * margin
     table = []
     for f, prs in zip(seq.frames, by_frame):
         gts = {a.track_id: a.box3d.center for a in f.annotations}
@@ -112,16 +191,34 @@ def _association(seq: Sequence, preds: list[Pseudolabel],
     return table
 
 
-def _clear_mot_pass(table, floor: float) -> tuple[Counts, float]:
+def _frame_assignment(dist, g_ids, p_ids) -> list[tuple[int, int, float]]:
+    """The (gt, pred, distance) pairs of a minimum-distance assignment of
+    the open gt tracks ``g_ids`` to the open pred tracks ``p_ids``."""
+    free = [(g, p, d) for (g, p), d in dist.items()
+            if g in g_ids and p in p_ids]
+    if not free:
+        return []
+    cost = np.full((len(g_ids), len(p_ids)), np.inf)
+    for g, p, d in free:
+        cost[g_ids.index(g), p_ids.index(p)] = d
+    return [(g_ids[i], p_ids[j], float(cost[i, j]))
+            for i, j in hungarian(cost).items()]
+
+
+def _clear_mot_pass(table, floor: float, memo: Optional[dict] = None,
+                    ) -> tuple[Counts, float]:
     """CLEAR-MOT over the predictions with confidence >= ``floor``: the
     previous frame's correspondences are kept while they stay within the
-    threshold, the rest are matched by minimum total distance."""
+    threshold, the rest are matched by minimum total distance. ``memo``
+    keeps each frame's assignment by the tracks left open in it, which
+    fix its cost matrix; passes over one table may share it."""
+    memo = {} if memo is None else memo
     tp = fp = fn = idsw = gt_total = 0
     dist_sum = 0.0
     prev: dict[int, int] = {}        # gt track -> pred track, last frame
     last_match: dict[int, int] = {}  # gt track -> pred track, ever
 
-    for gts, confs, dist in table:
+    for pos, (gts, confs, dist) in enumerate(table):
         prs = [p for p, c in confs.items() if c >= floor]
         gt_total += len(gts)
         matched: dict[int, int] = {}
@@ -130,19 +227,16 @@ def _clear_mot_pass(table, floor: float) -> tuple[Counts, float]:
             if d is not None and confs[p] >= floor:
                 matched[g] = p
                 dist_sum += d
-        used = set(matched.values())
-        free = [(g, p, d) for (g, p), d in dist.items()
-                if g not in matched and p not in used and confs[p] >= floor]
-        if free:
-            g_ids = [g for g in gts if g not in matched]
-            p_ids = [p for p in prs if p not in used]
-            cost = np.full((len(g_ids), len(p_ids)), np.inf)
-            for g, p, d in free:
-                cost[g_ids.index(g), p_ids.index(p)] = d
-            for i, j in hungarian(cost).items():
-                g, p = g_ids[i], p_ids[j]
+        if dist:
+            used = set(matched.values())
+            key = (pos, tuple(g for g in gts if g not in matched),
+                   tuple(p for p in prs if p not in used))
+            pairs = memo.get(key)
+            if pairs is None:
+                pairs = memo[key] = _frame_assignment(dist, *key[1:])
+            for g, p, d in pairs:
                 matched[g] = p
-                dist_sum += float(cost[i, j])
+                dist_sum += d
                 if g in last_match and last_match[g] != p:
                     idsw += 1
 
@@ -155,24 +249,30 @@ def _clear_mot_pass(table, floor: float) -> tuple[Counts, float]:
 
 
 def clear_mot(seq: Sequence, preds: list[Pseudolabel],
-              dist_threshold: float = DEFAULT_DIST_THRESHOLD,
+              dist_threshold: float = DEFAULT_DIST_THRESHOLD, *,
+              table=None, memo: Optional[dict] = None,
               ) -> tuple[float, float, Counts, float]:
-    """Returns (mota, motp, counts, total matched distance)."""
-    c, dist_sum = _clear_mot_pass(_association(seq, preds, dist_threshold),
-                                  -math.inf)
+    """Returns (mota, motp, counts, total matched distance). ``table``
+    (from ``_association``) and ``memo`` let ``evaluate`` share them."""
+    if table is None:
+        table = _association(seq, preds, dist_threshold)
+    c, dist_sum = _clear_mot_pass(table, -math.inf, memo)
     mota = 1.0 - (c.fp + c.fn + c.idsw) / c.gt_total if c.gt_total else 1.0
     motp = dist_sum / c.tp if c.tp else 0.0
     return mota, motp, c, dist_sum
 
 
 def idf1(seq: Sequence, preds: list[Pseudolabel],
-         dist_threshold: float = DEFAULT_DIST_THRESHOLD) -> float:
+         dist_threshold: float = DEFAULT_DIST_THRESHOLD, *,
+         table=None) -> float:
     """F1 over identity-consistent detections under a global trajectory
     match: IDTP is the largest total overlap (frames within the threshold)
     of a one-to-one pairing of gt and predicted tracks."""
+    if table is None:
+        table = _association(seq, preds, dist_threshold)
     overlap: dict[tuple[int, int], int] = {}
     total_gt = 0
-    for gts, _, dist in _association(seq, preds, dist_threshold):
+    for gts, _, dist in table:
         total_gt += len(gts)
         for pair in dist:
             overlap[pair] = overlap.get(pair, 0) + 1
@@ -191,7 +291,8 @@ def idf1(seq: Sequence, preds: list[Pseudolabel],
 
 def amota_amotp(seq: Sequence, preds: list[Pseudolabel],
                 dist_threshold: float = DEFAULT_DIST_THRESHOLD,
-                recall_grid: tuple[float, ...] = DEFAULT_RECALL_GRID,
+                recall_grid: tuple[float, ...] = DEFAULT_RECALL_GRID, *,
+                table=None, memo: Optional[dict] = None,
                 ) -> tuple[float, float, list[RecallPoint]]:
     """MOTAR and MOTP averaged over a recall sweep (nuScenes convention).
 
@@ -202,11 +303,13 @@ def amota_amotp(seq: Sequence, preds: list[Pseudolabel],
     if gt_total == 0:
         raise InvalidArgument("cannot sweep recall with no ground truth")
 
-    table = _association(seq, preds, dist_threshold)
+    if table is None:
+        table = _association(seq, preds, dist_threshold)
+    memo = {} if memo is None else memo
     thresholds = sorted({p.confidence for p in preds}, reverse=True)
     sweep = []  # (recall, counts, mean matched distance)
     for th in thresholds:
-        counts, dist_sum = _clear_mot_pass(table, th)
+        counts, dist_sum = _clear_mot_pass(table, th, memo)
         recall = counts.tp / gt_total
         motp = dist_sum / counts.tp if counts.tp else None
         sweep.append((recall, counts, motp))
@@ -247,9 +350,13 @@ def evaluate(seq: Sequence, preds: list[Pseudolabel],
              dist_threshold: float = DEFAULT_DIST_THRESHOLD,
              recall_grid: tuple[float, ...] = DEFAULT_RECALL_GRID,
              ) -> MetricReport:
-    mota, motp, counts, _ = clear_mot(seq, preds, dist_threshold)
-    id_f1 = idf1(seq, preds, dist_threshold)
-    amota, amotp, points = amota_amotp(seq, preds, dist_threshold, recall_grid)
+    table = _association(seq, preds, dist_threshold)
+    memo: dict = {}
+    mota, motp, counts, _ = clear_mot(seq, preds, dist_threshold,
+                                      table=table, memo=memo)
+    id_f1 = idf1(seq, preds, dist_threshold, table=table)
+    amota, amotp, points = amota_amotp(seq, preds, dist_threshold, recall_grid,
+                                       table=table, memo=memo)
     return MetricReport(mota=mota, motp=motp, idf1=id_f1, amota=amota,
                         amotp=amotp, counts=counts,
                         dist_threshold=dist_threshold,

@@ -36,15 +36,25 @@ class PipelineConfig:
     fncomp_floor: float = 0.0  # w_min
 
     def __post_init__(self):
-        if not (0.0 <= self.discard_threshold
-                <= self.source_update_threshold <= 1.0):
+        for name in ("discard_threshold", "source_update_threshold"):
+            v = getattr(self, name)
+            if not 0.0 <= v <= 1.0:
+                raise InvalidArgument(
+                    f"pipeline.{name} must lie in [0, 1], got {v!r}")
+        if self.discard_threshold > self.source_update_threshold:
             raise InvalidArgument(
-                "need 0 <= discard <= source_update <= 1, got "
-                f"{self.discard_threshold}, {self.source_update_threshold}")
+                "pipeline.discard_threshold must be <= "
+                f"pipeline.source_update_threshold, got "
+                f"{self.discard_threshold!r} > "
+                f"{self.source_update_threshold!r}")
         if self.max_consecutive_misses < 1:
-            raise InvalidArgument("max_consecutive_misses must be >= 1")
+            raise InvalidArgument(
+                "pipeline.max_consecutive_misses must be >= 1, got "
+                f"{self.max_consecutive_misses!r}")
         if self.merge_tie_break not in (FORWARD, BACKWARD):
-            raise InvalidArgument(f"bad tie break {self.merge_tie_break!r}")
+            raise InvalidArgument(
+                f"pipeline.merge_tie_break must be {FORWARD!r} or "
+                f"{BACKWARD!r}, got {self.merge_tie_break!r}")
         if not 0.0 <= self.fncomp_floor <= 1.0:
             raise InvalidArgument("pipeline.fncomp_floor must lie in [0, 1], "
                                   f"got {self.fncomp_floor!r}")

@@ -27,6 +27,15 @@ _TAG_DIMS = 4
 _TAG_DIRECTION = 5
 
 
+def _exp_or_inf(x: float) -> float:
+    """``math.exp``, but inf where it would overflow: a noise factor past
+    the float range gives an estimate that fails to lift, i.e. a miss."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     match_dropout_base: float = 0.0
@@ -41,15 +50,20 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("match_dropout_base", "direction_flip_prob"):
+        # a probability, or a confidence factor: c0 and k_occ in [0, 1]
+        # keep every oracle confidence in [0, 1]
+        for name in ("match_dropout_base", "direction_flip_prob",
+                     "confidence_c0", "confidence_k_occ"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise InvalidArgument(
-                    f"noise.{name} must be a probability, got {v}")
+                    f"noise.{name} must lie in [0, 1], got {v!r}")
         for name in ("center_px_sigma", "depth_rel_sigma", "dims_rel_sigma",
                      "dropout_occlusion_gain"):
-            if getattr(self, name) < 0:
-                raise InvalidArgument(f"noise.{name} must be >= 0")
+            v = getattr(self, name)
+            if not 0.0 <= v < math.inf:
+                raise InvalidArgument(
+                    f"noise.{name} must be finite and >= 0, got {v!r}")
         if not self.confidence_d0 > 0:
             raise InvalidArgument(
                 "noise.confidence_d0 must be positive (inf disables the "
@@ -200,7 +214,7 @@ class OracleProviderSet:
         depths = list(pk.depths)
         if n.depth_rel_sigma > 0:
             rng = self._rng(_TAG_DEPTH, track_id, target_frame)
-            depths = [d * math.exp(n.depth_rel_sigma * g)
+            depths = [d * _exp_or_inf(n.depth_rel_sigma * g)
                       for d, g in zip(depths, rng.normal(size=3))]
         dims = ann.box3d.dims
         if n.dims_rel_sigma > 0:

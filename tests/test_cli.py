@@ -227,7 +227,34 @@ class TestStepwise:
                    ("pipeline:\n  fncomp_floor: -3\n",
                     "pipeline.fncomp_floor"),
                    ("sim:\n  camera_height: -100\n", "sim: "),
-                   ("sim:\n  spawn_z: [-50, -40]\n  layout: grid\n", "sim: ")]
+                   ("sim:\n  spawn_z: [-50, -40]\n  layout: grid\n", "sim: "),
+                   ("noise:\n  confidence_c0: .nan\n", "noise.confidence_c0"),
+                   ("noise:\n  confidence_c0: 1.5\n", "noise.confidence_c0"),
+                   ("noise:\n  confidence_k_occ: -5\n",
+                    "noise.confidence_k_occ"),
+                   ("noise:\n  center_px_sigma: .nan\n",
+                    "noise.center_px_sigma"),
+                   ("noise:\n  depth_rel_sigma: .inf\n",
+                    "noise.depth_rel_sigma"),
+                   ("noise:\n  dropout_occlusion_gain: -1\n",
+                    "noise.dropout_occlusion_gain"),
+                   ("metrics:\n  dist_threshold: .nan\n",
+                    "metrics.dist_threshold"),
+                   ("metrics:\n  dist_threshold: .inf\n",
+                    "metrics.dist_threshold"),
+                   ("metrics:\n  recall_grid: [0.5, 2]\n",
+                    "metrics.recall_grid"),
+                   ("pipeline:\n  discard_threshold: .nan\n",
+                    "pipeline.discard_threshold"),
+                   ("pipeline:\n  source_update_threshold: 2\n",
+                    "pipeline.source_update_threshold"),
+                   ("pipeline:\n  discard_threshold: 0.9\n"
+                    "  source_update_threshold: 0.8\n",
+                    "pipeline.discard_threshold"),
+                   ("pipeline:\n  max_consecutive_misses: 0\n",
+                    "pipeline.max_consecutive_misses"),
+                   ("pipeline:\n  merge_tie_break: sideways\n",
+                    "pipeline.merge_tie_break")]
 
     def test_bad_config_file(self, tmp_path, capsys):
         for i, (text, named) in enumerate(self.BAD_CONFIGS):

@@ -1,10 +1,17 @@
 import dataclasses
 import itertools
+import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.optimize import linear_sum_assignment
 
+from autolabel3d import metrics
 from autolabel3d.core import (Annotation, Box2D, Box3D, CameraIntrinsics,
                               Frame, InvalidArgument, Provenance, Pseudolabel,
                               Sequence, FORWARD)
@@ -92,6 +99,76 @@ class TestHungarian:
             got_cost = sum(cost[i, j] for i, j in got.items())
             assert len(got) == best_card
             assert got_cost == pytest.approx(best_cost, abs=1e-9)
+
+
+def big_substituted(c):
+    """``hungarian``'s work matrix: +inf replaced by a cost larger than any
+    sum of finite ones."""
+    finite = c[np.isfinite(c)]
+    big = (float(np.abs(finite).sum()) if finite.size else 0.0) + 1.0
+    return np.where(np.isfinite(c), c, big)
+
+
+def scipy_hungarian(cost):
+    """``hungarian`` as it was when it called scipy: the reference the
+    pure-Python solver must reproduce exactly."""
+    c = np.asarray(cost, dtype=float)
+    if c.size == 0:
+        return {}
+    rows, cols = linear_sum_assignment(big_substituted(c))
+    return {int(r): int(col) for r, col in zip(rows, cols)
+            if math.isfinite(c[r, col])}
+
+
+@st.composite
+def cost_matrices(draw):
+    """Rectangular matrices up to 12 x 12: small integers (many ties),
+    arbitrary floats, negative ones included, or decimal fractions, with
+    some +inf cells."""
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    cells = draw(st.sampled_from([
+        st.integers(-3, 3).map(float),
+        st.floats(-100, 100, allow_nan=False),
+        st.sampled_from([0.0, 1.0, 1.5, math.inf]),
+        # sums that tie in exact arithmetic but not in floating point, so
+        # the order of the dual updates decides
+        st.sampled_from([0.1, 0.2, 0.3, 0.6, 0.7]),
+    ]))
+    c = draw(hnp.arrays(float, shape, elements=cells))
+    holes = draw(hnp.arrays(bool, shape))
+    return np.where(holes & draw(st.booleans()), math.inf, c)
+
+
+class TestScipyPort:
+    @settings(max_examples=500, deadline=None)
+    @given(cost_matrices())
+    # the dual updates' rounding decides this one (about 1 in 10,000
+    # decimal matrices is as sensitive)
+    @example(np.array([[0.6, 0.2, 0.3, 0.7, 0.6, 0.6, 0.7],
+                       [0.6, 0.7, 0.3, 0.7, 0.2, 0.7, 0.7],
+                       [0.7, 0.1, 0.3, 0.1, 0.3, 0.2, 0.7],
+                       [0.2, 0.3, 0.6, 0.2, 0.7, 0.7, 0.2],
+                       [0.7, 0.2, 0.2, 0.6, 0.7, 0.7, 0.3],
+                       [0.3, 0.7, 0.6, 0.3, 0.2, 0.3, 0.7],
+                       [0.3, 0.2, 0.1, 0.6, 0.2, 0.2, 0.3],
+                       [0.1, 0.2, 0.3, 0.2, 0.1, 0.1, 0.1]]))
+    def test_same_assignment_as_scipy(self, c):
+        work = big_substituted(c)
+        rows, cols = linear_sum_assignment(work)
+        assert metrics._lsap(work.tolist()) == (rows.tolist(), cols.tolist())
+        assert hungarian(c) == scipy_hungarian(c)
+
+    def test_constant_matrix_solves_to_identity(self):
+        assert metrics._lsap([[2.0] * 4] * 3) == ([0, 1, 2], [0, 1, 2])
+        assert metrics._lsap([[2.0] * 3] * 4) == ([0, 1, 2], [0, 1, 2])
+
+    def test_cli_does_not_import_scipy(self):
+        src = Path(metrics.__file__).resolve().parent.parent
+        code = ("import sys, autolabel3d.cli; print(sorted(m for m in "
+                "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestClearMot:
@@ -272,6 +349,31 @@ class TestEvaluate:
         assert rep.counts.gt_total == 12
         assert rep.dist_threshold == 2.0
         assert len(rep.per_recall) == 20
+
+    def test_sweep_solves_no_assignment_clear_mot_did_not(self, monkeypatch):
+        # one confidence for every prediction: AMOTA's single threshold
+        # keeps the same tracks open in every frame as CLEAR-MOT, so with
+        # the shared memo it solves nothing new
+        rng = np.random.default_rng(5)
+        seq = make_seq({t: {f: (3.0 * t, 0, 10 + f) for f in range(12)}
+                        for t in range(5)}, 12)
+        preds = [pl(a.track_id + 10 * (f.frame_index // 4), f.frame_index,
+                    np.add(a.box3d.center, rng.normal(0, 0.8, 3)), conf=0.7)
+                 for f in seq.frames for a in f.annotations]
+        lsap = metrics._lsap
+        calls = []
+
+        def counted(rows):
+            calls.append(rows)
+            return lsap(rows)
+
+        monkeypatch.setattr(metrics, "_lsap", counted)
+        clear_mot(seq, preds)
+        idf1(seq, preds)
+        alone = len(calls)
+        calls.clear()
+        evaluate(seq, preds)
+        assert 1 < len(calls) <= alone
 
 
 class TestOffSequencePredictions:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import logging
 import os
@@ -74,30 +73,13 @@ def _setup_logging():
 
 
 def _load_config(args) -> RunConfig:
-    cfg = load_run_config(args.config) if args.config else RunConfig()
-    if getattr(args, "noise", None):
-        if args.noise not in NOISE_PROFILES:
-            raise InvalidArgument(f"unknown noise profile {args.noise!r}; "
-                                  f"profiles: {sorted(NOISE_PROFILES)}")
-        cfg = dataclasses.replace(cfg, noise=NOISE_PROFILES[args.noise])
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(
-            cfg,
-            sim=dataclasses.replace(cfg.sim, seed=args.seed),
-            noise=dataclasses.replace(cfg.noise, seed=args.seed),
-            sampling=dataclasses.replace(cfg.sampling, seed=args.seed))
-    if getattr(args, "max_per_track", None) is not None:
-        cfg = dataclasses.replace(
-            cfg, sampling=dataclasses.replace(cfg.sampling,
-                                              max_per_track=args.max_per_track))
-    if getattr(args, "window", None) is not None:
-        cfg = dataclasses.replace(
-            cfg, sampling=dataclasses.replace(cfg.sampling, window=args.window))
-    if getattr(args, "dist_threshold", None) is not None:
-        cfg = dataclasses.replace(
-            cfg, metrics=dataclasses.replace(cfg.metrics,
-                                             dist_threshold=args.dist_threshold))
-    return cfg
+    """The ``--config`` YAML, each flag given set as the key it names."""
+    overrides = {k: v for k, v in vars(args).items()
+                 if v is not None and (k == "noise" or "." in k)}
+    if args.seed is not None:
+        overrides.update(dict.fromkeys(
+            ("sim.seed", "noise.seed", "sampling.seed"), args.seed))
+    return load_run_config(args.config, overrides)
 
 
 def _providers(seq, cfg: RunConfig) -> OracleProviderSet:
@@ -276,9 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
         p.add_argument("--seed", type=int, help="override all seeds")
-        p.add_argument("--max-per-track", dest="max_per_track", type=int)
-        p.add_argument("--window", type=int)
-        p.add_argument("--dist-threshold", dest="dist_threshold", type=float)
+        p.add_argument("--max-per-track", dest="sampling.max_per_track",
+                       type=int)
+        p.add_argument("--window", dest="sampling.window", type=int)
+        p.add_argument("--dist-threshold", dest="metrics.dist_threshold",
+                       type=float)
         p.add_argument("--noise", help="named noise profile "
                        f"({', '.join(sorted(NOISE_PROFILES))})")
         return p
@@ -302,7 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse has printed why; --help exits 0
+        return 1 if e.code else 0
     try:
         cfg = _load_config(args)
         args.fn(args, cfg, ArtifactStore(Path(args.out)))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from pathlib import Path
+from typing import get_args, get_type_hints
 
 import yaml
 
@@ -14,6 +16,7 @@ from .providers import NoiseConfig
 from .sampling import DEFAULT_MAX_PER_TRACK, DEFAULT_WINDOW
 from .simulator import SimConfig
 
+DEFAULT_NOISE = "noiseless"  # the profile of a run with no noise section
 NOISE_PROFILES: dict[str, NoiseConfig] = {
     "noiseless": NoiseConfig.noiseless(),
     "light": NoiseConfig(match_dropout_base=0.05, center_px_sigma=1.0,
@@ -27,23 +30,33 @@ NOISE_PROFILES: dict[str, NoiseConfig] = {
 }
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-_KINDS = {bool: "true or false", int: "an integer", float: "a number",
-          str: "a string", tuple: "a list of numbers", dict: "a mapping"}
-
-
-def _fits(value, default) -> bool:
-    """Whether a YAML value may set a field with this default: a float field
-    also takes an int, a tuple field a list of numbers, and a bool is never
-    a number."""
+def _fits(value, default, args=()) -> bool:
+    """Whether a YAML value has the shape ``_shape`` names for a field with
+    this default and type arguments; a bool is never a number."""
     if isinstance(default, float):
-        return _is_number(value)
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
     if isinstance(default, tuple):
-        return isinstance(value, list) and all(map(_is_number, value))
+        return (isinstance(value, list) and all(_fits(v, 0.0) for v in value)
+                and (Ellipsis in args or len(value) == len(args)))
+    if isinstance(default, dict):
+        return (isinstance(value, dict) and value.keys() == default.keys()
+                and all(_fits(value[k], d) for k, d in default.items()))
     return type(value) is type(default)
+
+
+def _shape(default, args=()) -> str:
+    """What a YAML value must be to set a field with this default and type
+    arguments: a float field also takes an int, a ``tuple[float, float]``
+    field 2 numbers, a ``tuple[float, ...]`` field any count, and a dict
+    field exactly its default's keys, each value of its default's shape."""
+    if isinstance(default, tuple):
+        return ("a list of numbers" if Ellipsis in args
+                else f"a list of {len(args)} numbers")
+    if isinstance(default, dict):
+        return "a mapping of " + ", ".join(
+            f"{k} to {_shape(d)}" for k, d in sorted(default.items()))
+    return {bool: "true or false", int: "an integer", float: "a number",
+            str: "a string"}[type(default)]
 
 
 @dataclass(frozen=True)
@@ -55,6 +68,9 @@ class SamplingConfig:
     def __post_init__(self):
         if self.max_per_track < 1:
             raise InvalidArgument("sampling.max_per_track must be >= 1")
+        if self.seed < 0:
+            raise InvalidArgument(
+                f"sampling.seed must be >= 0, got {self.seed!r}")
         if self.window < 0:
             raise InvalidArgument("sampling.window must be >= 0")
 
@@ -78,7 +94,8 @@ class MetricsConfig:
 @dataclass(frozen=True)
 class RunConfig:
     sim: SimConfig = field(default_factory=SimConfig)
-    noise: NoiseConfig = field(default_factory=NoiseConfig.noiseless)
+    noise: NoiseConfig = field(
+        default_factory=lambda: NOISE_PROFILES[DEFAULT_NOISE])
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
@@ -102,6 +119,7 @@ def _build(cls, data, section: str = ""):
         raise InvalidArgument(
             f"unknown keys in {where}: {sorted(unknown)}; "
             f"allowed: {sorted(allowed)}")
+    args = {name: get_args(t) for name, t in get_type_hints(cls).items()}
     values = {}
     for f in fields(cls):
         if f.name not in data:
@@ -111,27 +129,38 @@ def _build(cls, data, section: str = ""):
         default = f.default_factory() if f.default is MISSING else f.default
         if is_dataclass(default):
             v = _build(type(default), v, key)
-        elif not _fits(v, default):
+        elif not _fits(v, default, args[f.name]):
             raise InvalidArgument(
-                f"{key} must be {_KINDS[type(default)]}, got {v!r}")
+                f"{key} must be {_shape(default, args[f.name])}, got {v!r}")
         elif isinstance(v, list):
             v = tuple(v)
         values[f.name] = v
     return cls(**values)
 
 
-def run_config_from_dict(data) -> RunConfig:
-    noise = data.get("noise") if isinstance(data, dict) else None
-    if isinstance(noise, str):
-        if noise not in NOISE_PROFILES:
-            raise InvalidArgument(
-                f"unknown noise profile {noise!r}; "
-                f"profiles: {sorted(NOISE_PROFILES)}")
-        data = {**data, "noise": asdict(NOISE_PROFILES[noise])}
+def run_config_from_dict(data, overrides=None) -> RunConfig:
+    """The run config of a YAML mapping, each override written in as the
+    mapping would hold it: ``noise`` takes a profile name, other keys are
+    ``section.field``. The profile, named or the default, is expanded
+    first, so an override can set ``noise.seed``."""
+    if isinstance(data, dict):  # else _build names the root
+        overrides = dict(overrides or {})
+        noise = overrides.pop("noise", data.get("noise", DEFAULT_NOISE))
+        if isinstance(noise, str):
+            if noise not in NOISE_PROFILES:
+                raise InvalidArgument(
+                    f"unknown noise profile {noise!r}; "
+                    f"profiles: {sorted(NOISE_PROFILES)}")
+            noise = asdict(NOISE_PROFILES[noise])
+        data = {**data, "noise": noise}
+        for key, value in overrides.items():
+            section, name = key.split(".")
+            # a section that is no mapping is left for _build to name
+            if isinstance(data.setdefault(section, {}), dict):
+                data[section] = {**data[section], name: value}
     return _build(RunConfig, data)
 
 
-def load_run_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh) or {}
-    return run_config_from_dict(data)
+def load_run_config(path=None, overrides=None) -> RunConfig:
+    text = Path(path).read_text(encoding="utf-8") if path else ""
+    return run_config_from_dict(yaml.safe_load(text) or {}, overrides)

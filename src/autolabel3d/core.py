@@ -230,6 +230,8 @@ class Annotation:
     visibility: Optional[int] = None  # nuScenes convention, {1,2,3,4}
 
     def __post_init__(self):
+        if self.track_id < 0:
+            raise InvalidArgument(f"track_id must be >= 0, got {self.track_id}")
         if self.occlusion_level not in (0, 1, 2, 3):
             raise InvalidArgument(
                 f"occlusion_level must be in {{0,1,2,3}}, got {self.occlusion_level}")
@@ -245,6 +247,9 @@ class Frame:
     annotations: tuple[Annotation, ...]
 
     def __post_init__(self):
+        if self.frame_index < 0:
+            raise InvalidArgument(
+                f"frame_index must be >= 0, got {self.frame_index}")
         pose = np.asarray(self.ego_pose, dtype=float)
         if pose.shape != (3, 4):
             raise InvalidArgument(f"ego pose must be 3x4, got {pose.shape}")

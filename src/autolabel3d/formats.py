@@ -292,7 +292,7 @@ def serialize_sequence(seq: Sequence) -> str:
 
 def parse_sequence(text: str) -> Sequence:
     head: dict = {}
-    frames: list[tuple[int, np.ndarray, list[Annotation]]] = []
+    frames: list[tuple[Frame, list[Annotation]]] = []
 
     def on_record(tag, f):
         if tag == "sequence":
@@ -303,25 +303,24 @@ def parse_sequence(text: str) -> Sequence:
                 width=int(f[4]), height=int(f[5]))
         elif tag == "frame":
             pose = np.array([float(v) for v in f[1:13]]).reshape(3, 4)
-            frames.append((int(f[0]), pose, []))
+            frames.append((Frame(int(f[0]), pose, ()), []))
         elif tag == "ann":
-            frame_index, _, anns = _last(frames, "frame")
+            frame, anns = _last(frames, "frame")
             box2d, box3d = _parse_boxes(f[1:13])
             anns.append(Annotation(
-                frame_index=frame_index, track_id=int(f[0]), box2d=box2d,
+                frame_index=frame.frame_index, track_id=int(f[0]), box2d=box2d,
                 box3d=box3d, occlusion_level=int(f[13]),
                 visibility=None if f[14] == "-" else int(f[14])))
         elif tag == "mask":
-            _with_mask(_last(frames, "frame")[2], f)
+            _with_mask(_last(frames, "frame")[1], f)
         else:
             raise ParseError(f"unknown record {tag!r}")
 
     _records(text, "sequence", on_record)
     if "id" not in head or "intrinsics" not in head:
         raise ParseError("sequence document missing header records")
-    return Sequence(frames=tuple(Frame(frame_index=i, ego_pose=pose,
-                                       annotations=tuple(anns))
-                                 for i, pose, anns in frames), **head)
+    return Sequence(frames=tuple(replace(frame, annotations=tuple(anns))
+                                 for frame, anns in frames), **head)
 
 
 def serialize_sparse_labels(sparse) -> str:

@@ -68,6 +68,8 @@ class NoiseConfig:
             raise InvalidArgument(
                 "noise.confidence_d0 must be positive (inf disables the "
                 f"distance decay), got {self.confidence_d0!r}")
+        if self.seed < 0:
+            raise InvalidArgument(f"noise.seed must be >= 0, got {self.seed!r}")
 
     @classmethod
     def noiseless(cls, seed: int = 0) -> "NoiseConfig":

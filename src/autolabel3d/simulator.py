@@ -28,8 +28,7 @@ DEFAULT_INTRINSICS = dict(fx=721.54, fy=721.54, cx=609.56, cy=172.85,
 MOTION_CV = "constant-velocity"
 MOTION_CTRV = "constant-turn-rate-velocity"
 
-_RANGES = ("object_speed", "turn_rate", "length_range", "width_range",
-           "height_range", "spawn_x", "spawn_z")
+_SIZES = ("length_range", "width_range", "height_range")
 
 # (sx, sy, sz) of the 8 box corners along (heading, lateral, up)
 _SIGNS = np.array([(sx, sy, sz) for sx in (-1.0, 1.0) for sy in (-1.0, 1.0)
@@ -61,6 +60,8 @@ class SimConfig:
     sequence_id: str = "sim"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidArgument(f"sim.seed must be >= 0, got {self.seed!r}")
         if self.duration < 2:
             raise InvalidArgument("sim.duration must be >= 2 frames")
         if not self.frame_rate > 0:
@@ -69,41 +70,36 @@ class SimConfig:
         if self.object_count < 1:
             raise InvalidArgument(
                 f"sim.object_count must be >= 1, got {self.object_count!r}")
-        for f in fields(self):
+        for f in fields(self):  # every tuple field is a (low, high) range
             v = getattr(self, f.name)
-            if isinstance(f.default, float) and not math.isfinite(v):
+            pair = isinstance(f.default, tuple)
+            if (pair or isinstance(f.default, float)) and not all(
+                    map(math.isfinite, v if pair else [v])):
                 raise InvalidArgument(f"sim.{f.name} must be finite, got {v!r}")
-        for name in _RANGES:
-            pair = getattr(self, name)
-            if len(pair) != 2:
+            if pair and v[1] < v[0]:
+                raise InvalidArgument(f"sim.{f.name}: empty range {v!r}")
+            if f.name in _SIZES and v[0] <= 0:
                 raise InvalidArgument(
-                    f"sim.{name} must be a (low, high) pair, got {pair!r}")
-            if not all(map(math.isfinite, pair)):
-                raise InvalidArgument(
-                    f"sim.{name} must be finite, got {pair!r}")
-            if pair[1] < pair[0]:
-                raise InvalidArgument(f"sim.{name}: empty range {pair!r}")
+                    f"sim.{f.name} must be positive, got {v!r}")
         if self.ego_speed < 0 or self.object_speed[0] < 0:
             raise InvalidArgument("sim.ego_speed and sim.object_speed must "
                                   "be >= 0")
         if self.ego_motion == "arc" and self.ego_arc_radius == 0:
             raise InvalidArgument("sim.ego_arc_radius must be nonzero")
-        if set(self.intrinsics) != set(DEFAULT_INTRINSICS) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                for v in self.intrinsics.values()):
-            raise InvalidArgument(
-                f"sim.intrinsics must map each of {sorted(DEFAULT_INTRINSICS)}"
-                f" to a number, got {self.intrinsics!r}")
         try:
             CameraIntrinsics(**self.intrinsics)
         except InvalidArgument as e:
             raise InvalidArgument(f"sim.intrinsics: {e}") from None
-        if self.ego_motion not in ("straight", "arc"):
-            raise InvalidArgument(f"unknown ego motion {self.ego_motion!r}")
-        if self.layout not in ("random", "grid"):
-            raise InvalidArgument(f"unknown layout {self.layout!r}")
-        if self.motion_model not in ("mixed", MOTION_CV, MOTION_CTRV):
-            raise InvalidArgument(f"unknown motion model {self.motion_model!r}")
+        if self.sequence_id.split() != [self.sequence_id]:
+            raise InvalidArgument("sim.sequence_id must be one token without "
+                                  f"whitespace, got {self.sequence_id!r}")
+        for name, allowed in (("ego_motion", ("straight", "arc")),
+                              ("layout", ("random", "grid")),
+                              ("motion_model", ("mixed", MOTION_CV,
+                                                MOTION_CTRV))):
+            if getattr(self, name) not in allowed:
+                raise InvalidArgument(f"sim.{name} must be one of {allowed}, "
+                                      f"got {getattr(self, name)!r}")
 
 
 @dataclass

@@ -254,7 +254,23 @@ class TestStepwise:
                    ("pipeline:\n  max_consecutive_misses: 0\n",
                     "pipeline.max_consecutive_misses"),
                    ("pipeline:\n  merge_tie_break: sideways\n",
-                    "pipeline.merge_tie_break")]
+                    "pipeline.merge_tie_break"),
+                   ("sim:\n  seed: -1\n", "sim.seed"),
+                   ("noise:\n  seed: -2\n  match_dropout_base: 0.1\n",
+                    "noise.seed"),
+                   ("noise: medium\nsampling:\n  seed: -1\n",
+                    "sampling.seed"),
+                   ("sim:\n  sequence_id: a b\n", "sim.sequence_id"),
+                   ("sim:\n  sequence_id: ''\n", "sim.sequence_id"),
+                   ("sim:\n  intrinsics: {fx: 721.54, fy: 721.54, cx: 609.56, "
+                    "cy: 172.85, width: 1242.5, height: 375}\n",
+                    "sim.intrinsics"),
+                   ("sim:\n  intrinsics: {fx: 721.54, fy: 721.54, cx: 609.56, "
+                    "cy: 172.85, width: 1242.0, height: 375}\n",
+                    "sim.intrinsics"),
+                   ("sim:\n  length_range: [-2, -1]\n", "sim.length_range"),
+                   ("sim:\n  width_range: [0, 0]\n", "sim.width_range"),
+                   ("sim:\n  layout: hex\n", "sim.layout")]
 
     def test_bad_config_file(self, tmp_path, capsys):
         for i, (text, named) in enumerate(self.BAD_CONFIGS):
@@ -264,6 +280,53 @@ class TestStepwise:
             assert named in capsys.readouterr().err, text
             assert not out.exists(), text
 
+
+class TestFlags:
+    """A flag acts as the YAML key its ``dest`` names."""
+
+    # (flags, the key the error must name)
+    BAD_FLAGS = [(("--window", "-1"), "sampling.window"),
+                 (("--max-per-track", "0"), "sampling.max_per_track"),
+                 (("--dist-threshold", "nan"), "metrics.dist_threshold"),
+                 (("--seed", "-1"), "sim.seed")]
+
+    def test_bad_value_names_its_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        for i, (flags, named) in enumerate(self.BAD_FLAGS):
+            out = tmp_path / f"o{i}"
+            assert run("--config", cfg, "--out", str(out), "e2e",
+                       *flags) == 1, flags
+            assert named in capsys.readouterr().err, flags
+            assert not out.exists(), flags
+        assert run("--out", str(tmp_path / "l"), "losses-check",
+                   "--seed", "-1") == 1
+        assert "sim.seed" in capsys.readouterr().err
+
+    USAGE_ERRORS = [("e2e", "--seed", "abc"), ("e2e", "--dist-threshold", "x"),
+                    ("e2e", "--unknown"), ("frobnicate",), ()]
+
+    def test_usage_error_exits_1(self, tmp_path, capsys):
+        for argv in self.USAGE_ERRORS:
+            out = tmp_path / "o"
+            assert run("--out", str(out), *argv) == 1, argv
+            err = capsys.readouterr().err
+            assert "usage:" in err and "error:" in err, (argv, err)
+            assert not out.exists(), argv
+        assert run("--help") == 0
+        assert "usage:" in capsys.readouterr().out
+
+    def test_noise_flag_replaces_the_yaml_section(self, tmp_path):
+        # the section is replaced before it is checked, as `noise: noiseless`
+        # in the YAML would replace it
+        bad = write_config(tmp_path, SMALL_CONFIG.replace(
+            "noise: noiseless\n", "noise:\n  confidence_c0: 7\n"))
+        assert run("--config", bad, "--out", str(tmp_path / "a"), "e2e",
+                   "--noise", "noiseless") == 0
+        assert run("--config", write_config(tmp_path), "--out",
+                   str(tmp_path / "b"), "e2e") == 0
+        for name in ("sequence.txt", "metric_report.txt"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
 
 class TestParseKitti:
     def test_matches_golden(self, tmp_path, capsys):

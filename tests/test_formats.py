@@ -263,10 +263,12 @@ class TestOtherDocuments:
                           "plmask 0 1 2 3 4 5 2"], 3),
         ("pseudolabels", ["# autolabel3d pseudolabels v1", PLMASK, PL], 2),
         ("metric_report", ["# autolabel3d metricreport v1", "mota x"], 2),
+        ("sequence", SEQ + [FRAME, ANN.replace("ann 0", "ann -3")], 5),
+        ("sequence", SEQ + [FRAME.replace("frame 0", "frame -1")], 4),
     ], ids=["short-sequence", "short-ann", "ann-before-frame",
             "non-integer-track", "bare-seed", "unknown-tag", "short-pair",
             "plmask-bad-token", "plmask-bad-rle", "plmask-before-pl",
-            "non-numeric-mota"])
+            "non-numeric-mota", "negative-track", "negative-frame"])
     def test_malformed_record_names_the_line(self, parse, lines, bad_line):
         with pytest.raises(ParseError, match=rf"^line {bad_line}: "):
             getattr(formats, f"parse_{parse}")("\n".join(lines) + "\n")

@@ -57,11 +57,16 @@ class ArtifactStore:
                 raise InvalidArgument(
                     f"missing input file {path}; run the producing "
                     "command first or pass --out consistently")
-            try:
-                self._objects[name] = parse(path.read_text(encoding="utf-8"))
-            except formats.ParseError as e:
-                raise formats.ParseError(f"{path}: {e}") from None
+            self._objects[name] = _parse_file(path, parse)
         return self._objects[name]
+
+
+def _parse_file(path: Path, parse):
+    """``parse`` the text of ``path``; a ``ParseError`` names the file."""
+    try:
+        return parse(path.read_text(encoding="utf-8"))
+    except formats.ParseError as e:
+        raise formats.ParseError(f"{path}: {e}") from None
 
 
 def _setup_logging():
@@ -179,9 +184,9 @@ def _recall_csv(report) -> str:
 
 
 def cmd_parse_kitti(args, cfg: RunConfig, store: ArtifactStore):
-    rows = formats.parse_kitti_labels(Path(args.labels).read_text())
+    rows = _parse_file(Path(args.labels), formats.parse_kitti_labels)
     if args.calib:
-        calib = formats.parse_kitti_calib(Path(args.calib).read_text())
+        calib = _parse_file(Path(args.calib), formats.parse_kitti_calib)
         intrinsics = calib.intrinsics
         if calib.translation_ignored:
             log.warning("P2 carries a nonzero translation column; ignored")

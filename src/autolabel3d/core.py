@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -147,7 +148,9 @@ class Mask2D:
     bitmap: np.ndarray       # bool array of shape (h, w)
 
     def __post_init__(self):
-        bm = np.asarray(self.bitmap, dtype=bool)
+        # a read-only copy: no alias of the caller's array can change the
+        # mask, so its hash and its cached counts text stay valid
+        bm = np.array(self.bitmap, dtype=bool)
         if bm.ndim != 2:
             raise InvalidArgument("mask bitmap must be 2D")
         object.__setattr__(self, "bitmap", bm)
@@ -158,6 +161,11 @@ class Mask2D:
     @property
     def rle(self) -> list[int]:
         return rle_encode(self.bitmap)
+
+    @cached_property
+    def rle_text(self) -> str:
+        """The RLE counts space-separated, encoded once per mask."""
+        return " ".join(str(c) for c in self.rle)
 
     @classmethod
     def from_rle(cls, origin, counts, shape) -> "Mask2D":

@@ -3,7 +3,9 @@
 Internal documents are line-delimited whitespace-separated text with a
 versioned header line, so golden files diff cleanly and round-trip
 bit-exactly. Floats are written with 17 significant digits (lossless for
-doubles).
+doubles). A weight-map row is formatted once per distinct row of a document
+and a mask's RLE counts once per ``Mask2D`` object; the bytes are those of
+formatting every cell and record afresh.
 """
 
 from __future__ import annotations
@@ -56,10 +58,19 @@ class KittiLabelRow:
     score: Optional[float] = None
 
     def __post_init__(self):
+        if self.frame < 0:
+            raise InvalidArgument(f"frame must be >= 0, got {self.frame}")
+        if self.type == "DontCare":  # KITTI writes -1 for its id and occlusion
+            return
         left, top, right, bottom = self.bbox
-        if self.type != "DontCare" and (right <= left or bottom <= top):
+        if right <= left or bottom <= top:
             raise InvalidArgument(
                 f"degenerate bbox {self.bbox} for type {self.type!r}")
+        if self.track_id < 0:
+            raise InvalidArgument(f"track_id must be >= 0, got {self.track_id}")
+        if self.occluded not in (0, 1, 2, 3):
+            raise InvalidArgument(
+                f"occluded must be in {{0,1,2,3}}, got {self.occluded}")
 
 
 _KITTI_FIELDS = ("frame", "track_id", "type", "truncated", "occluded", "alpha",
@@ -69,7 +80,9 @@ _KITTI_FIELDS = ("frame", "track_id", "type", "truncated", "occluded", "alpha",
 
 
 def parse_kitti_labels(text: str) -> list[KittiLabelRow]:
-    """Parse a KITTI tracking label file (17 or 18 tokens per line)."""
+    """Parse a KITTI tracking label file (17 or 18 tokens per line). A row
+    that is malformed or that ``KittiLabelRow`` rejects raises a
+    ``ParseError`` naming its line."""
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
@@ -82,24 +95,27 @@ def parse_kitti_labels(text: str) -> list[KittiLabelRow]:
         def num(idx, cast=float):
             try:
                 return cast(tokens[idx])
-            except ValueError:
+            except (ValueError, OverflowError):  # int(float("inf")) overflows
                 raise ParseError(
-                    f"line {lineno}: non-numeric value {tokens[idx]!r} "
+                    f"line {lineno}: invalid value {tokens[idx]!r} "
                     f"for field {_KITTI_FIELDS[idx]!r}") from None
 
-        rows.append(KittiLabelRow(
-            frame=num(0, int),
-            track_id=num(1, int),
-            type=tokens[2],
-            truncated=num(3),
-            occluded=num(4, lambda s: int(float(s))),
-            alpha=num(5),
-            bbox=(num(6), num(7), num(8), num(9)),
-            dims=(num(10), num(11), num(12)),
-            location=(num(13), num(14), num(15)),
-            rotation_y=num(16),
-            score=num(17) if len(tokens) == 18 else None,
-        ))
+        try:
+            rows.append(KittiLabelRow(
+                frame=num(0, int),
+                track_id=num(1, int),
+                type=tokens[2],
+                truncated=num(3),
+                occluded=num(4, lambda s: int(float(s))),
+                alpha=num(5),
+                bbox=(num(6), num(7), num(8), num(9)),
+                dims=(num(10), num(11), num(12)),
+                location=(num(13), num(14), num(15)),
+                rotation_y=num(16),
+                score=num(17) if len(tokens) == 18 else None,
+            ))
+        except InvalidArgument as e:
+            raise ParseError(f"line {lineno}: {e}") from None
     return rows
 
 
@@ -260,8 +276,8 @@ def _parse_boxes(fields: list[str]) -> tuple[Box2D, Box3D]:
 
 def _mask_line(tag: str, track_id: int, m: Mask2D) -> str:
     rows, cols = m.bitmap.shape
-    counts = " ".join(str(c) for c in m.rle)
-    return f"{tag} {track_id} {m.origin[0]} {m.origin[1]} {rows} {cols} {counts}"
+    return (f"{tag} {track_id} {m.origin[0]} {m.origin[1]} {rows} {cols} "
+            f"{m.rle_text}")
 
 
 def _with_mask(items: list, fields: list[str]) -> None:
@@ -425,16 +441,24 @@ def parse_pseudolabels(text: str) -> list[Pseudolabel]:
 
 def serialize_weight_maps(weights: dict[int, Heatmap]) -> str:
     out = [_header("weightmaps")]
+    # Each distinct row, keyed by its bits (which keep -0.0 apart from
+    # 0.0), is formatted once across all frames, and the distinct values
+    # of the rows not seen before once each.
+    lines: dict[bytes, str] = {}
     for frame_index in sorted(weights):
         h = weights[frame_index]
         rows, cols = h.values.shape
         out.append(f"frame {frame_index} {rows} {cols} {h.stride}")
-        # Format each distinct bit pattern once (keeps -0.0 apart from 0.0).
         bits = np.ascontiguousarray(h.values).view(np.uint64)
-        keys, index = np.unique(bits, return_inverse=True)
-        texts = np.array([fmt_float(v) for v in keys.view(np.float64)],
-                         dtype=object)
-        out.extend(map(" ".join, texts[index.reshape(rows, cols)].tolist()))
+        keys = [row.tobytes() for row in bits]
+        new = {k: r for r, k in enumerate(keys) if k not in lines}
+        if new:
+            values, index = np.unique(bits[list(new.values())],
+                                      return_inverse=True)
+            texts = [fmt_float(v) for v in values.view(np.float64)]
+            for k, row in zip(new, index.reshape(len(new), cols).tolist()):
+                lines[k] = " ".join([texts[i] for i in row])
+        out.extend([lines[k] for k in keys])
     return "\n".join(out) + "\n"
 
 

@@ -82,18 +82,21 @@ class TestE2E:
         assert code == 0
 
     def test_matches_golden_digests(self, tmp_path):
-        # an arc scene with masks and every occlusion level, under noise;
-        # the digests were taken from an earlier release of the program
-        lines = (DATA / "e2e_digests.txt").read_text().splitlines()
-        want = dict(reversed(line.split()) for line in lines
-                    if not line.startswith("#"))
+        # an arc scene with masks and every occlusion level, under noise and
+        # noiseless (where most weight-map rows are all ones); the digests
+        # were taken from earlier releases of the program
         cfg = write_config(tmp_path, DIGEST_CONFIG)
-        out = tmp_path / "out"
-        assert run("--config", cfg, "--out", str(out), "e2e", "--seed", "3",
-                   "--noise", "medium") == 0
-        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in out.iterdir()}
-        assert got == want
+        for noise, digests in (("medium", "e2e_digests.txt"),
+                               ("noiseless", "e2e_digests_noiseless.txt")):
+            lines = (DATA / digests).read_text().splitlines()
+            want = dict(reversed(line.split()) for line in lines
+                        if not line.startswith("#"))
+            out = tmp_path / noise
+            assert run("--config", cfg, "--out", str(out), "e2e", "--seed",
+                       "3", "--noise", noise) == 0
+            got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.iterdir()}
+            assert got == want, noise
 
     # (--sweep spec, the part of it the error must name)
     BAD_SWEEPS = [("window=1,2", "window=1,2"), ("max_per_track=a", "'a'"),
@@ -344,6 +347,36 @@ class TestParseKitti:
     def test_missing_labels_file(self, tmp_path):
         assert run("--out", str(tmp_path), "parse-kitti",
                    "--labels", str(tmp_path / "nope.txt")) == 1
+
+    GOOD_ROW = "0 0 Car 0 0 -1.57 100 120 200 180 1.5 1.7 4.2 2.0 1.6 15.0 -1.6"
+
+    # (field of a kept row made bad, its value, what the error must say)
+    @pytest.mark.parametrize("field, value, named", [
+        pytest.param(1, "-1", "track_id must be >= 0, got -1",
+                     id="negative-track-id"),
+        pytest.param(0, "-1", "frame must be >= 0, got -1",
+                     id="negative-frame"),
+        pytest.param(8, "100", "degenerate bbox", id="right-at-left"),
+        pytest.param(4, "4", "occluded must be in {0,1,2,3}, got 4",
+                     id="occluded-4"),
+        pytest.param(4, "-1", "occluded must be in {0,1,2,3}, got -1",
+                     id="occluded-minus-1"),
+        pytest.param(4, "inf", "invalid value 'inf' for field 'occluded'",
+                     id="occluded-inf"),
+        pytest.param(16, "", "expected 17 or 18 tokens", id="short-row"),
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, capsys, field,
+                                         value, named):
+        row = self.GOOD_ROW.split()
+        row[0] = "1"
+        row[field] = value
+        labels = tmp_path / "labels.txt"
+        labels.write_text(f"{self.GOOD_ROW}\n\n{' '.join(row)}\n")
+        assert run("--out", str(tmp_path / "out"), "parse-kitti",
+                   "--labels", str(labels)) == 1
+        err = capsys.readouterr().err
+        assert f"error: {labels}: line 3: " in err and named in err, err
+        assert not (tmp_path / "out").exists()
 
 
 class TestLossesCheck:

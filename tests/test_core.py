@@ -79,6 +79,16 @@ class TestMaskRle:
         bitmap = rng.random((h, w)) < rng.random()
         assert np.array_equal(rle_decode(rle_encode(bitmap), (h, w)), bitmap)
 
+    def test_bitmap_cannot_change_under_its_cached_text(self):
+        base = np.zeros((4, 4), dtype=bool)
+        m = Mask2D(origin=(0, 0), bitmap=base[1:3])
+        text = m.rle_text
+        with pytest.raises(ValueError):
+            m.bitmap[0, 0] = True
+        base[:] = True  # nor can the array it was built from
+        assert not m.bitmap.any()
+        assert m.rle_text == text == " ".join(map(str, rle_encode(m.bitmap)))
+
     def test_malformed_rle(self):
         from autolabel3d.core import DecodeError
         with pytest.raises(DecodeError):

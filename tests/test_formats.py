@@ -1,8 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from autolabel3d import formats
 from autolabel3d.core import (Annotation, Box2D, Box3D, CameraIntrinsics,
@@ -314,24 +315,139 @@ def per_cell_weight_maps(weights):
     return "\n".join(out) + "\n"
 
 
+# in [0, 1] as a Heatmap requires, plus NaN, subnormals and both zeros
+WEIGHT_CELLS = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+    [-0.0, 0.0, 1.0, math.nan, 5e-324, 2.2e-308, np.nextafter(1.0, 0.0)]))
+
+
+@st.composite
+def repeating_weight_maps(draw):
+    """Frames of a few widths whose rows come from a small pool per width,
+    so rows repeat within and across frames. Each pool of a nonzero width
+    holds one row twice more, with 0.0 and with -0.0 in the same position.
+    Widths and row counts include 0; some maps are not C-contiguous."""
+    from autolabel3d.core import Heatmap
+    pools = {}
+    for width in draw(st.sets(st.integers(0, 5), min_size=1, max_size=3)):
+        row = st.lists(WEIGHT_CELLS, min_size=width, max_size=width)
+        pool = draw(st.lists(row, min_size=1, max_size=4))
+        if width:
+            at = draw(st.integers(0, width - 1))
+            pool += [pool[0][:at] + [z] + pool[0][at + 1:] for z in (0.0, -0.0)]
+        pools[width] = pool
+    maps = {}
+    for frame_index in draw(st.sets(st.integers(0, 40), max_size=5)):
+        width = draw(st.sampled_from(sorted(pools)))
+        rows = draw(st.lists(st.sampled_from(pools[width]), max_size=6))
+        values = np.array(rows, dtype=float).reshape(len(rows), width)
+        if draw(st.booleans()):
+            values = np.asfortranarray(values)
+        maps[frame_index] = Heatmap(values=values,
+                                    stride=draw(st.integers(1, 8)))
+    return maps
+
+
+def fixed_weight_maps():
+    """Hand-picked cases: none, one cell, every special value in one row,
+    specials scattered over a wider map, a transposed (non-C-contiguous)
+    map and an all-ones map, in unsorted frame order."""
+    from autolabel3d.core import Heatmap
+    rng = np.random.default_rng(3)
+    special = np.array([-0.0, 0.0, 1.0, math.nan, 5e-324, 2.2e-308,
+                        np.nextafter(1.0, 0.0)])
+    mixed = rng.random((7, 11))
+    mixed.flat[rng.integers(0, mixed.size, 40)] = rng.choice(special, 40)
+    transposed = Heatmap(values=rng.random((9, 5)).T, stride=8)
+    assert not transposed.values.flags.c_contiguous
+    return [
+        {},
+        {0: Heatmap(values=np.array([[0.25]]), stride=1)},
+        {0: Heatmap(values=special.reshape(1, -1), stride=2)},
+        {3: Heatmap(values=mixed, stride=4),
+         1: transposed,
+         2: Heatmap(values=np.ones((4, 6)), stride=4)},
+    ]
+
+
+FIXED_WEIGHT_MAPS = fixed_weight_maps()
+
+
 class TestWeightMapSerializer:
-    def test_matches_per_cell_formatting(self):
-        from autolabel3d.core import Heatmap
-        rng = np.random.default_rng(3)
-        special = np.array([-0.0, 0.0, 1.0, math.nan, 5e-324, 2.2e-308,
-                            np.nextafter(1.0, 0.0)])
-        mixed = rng.random((7, 11))
-        mixed.flat[rng.integers(0, mixed.size, 40)] = rng.choice(special, 40)
-        transposed = Heatmap(values=rng.random((9, 5)).T, stride=8)
-        assert not transposed.values.flags.c_contiguous
-        cases = [
-            {},
-            {0: Heatmap(values=np.array([[0.25]]), stride=1)},
-            {0: Heatmap(values=special.reshape(1, -1), stride=2)},
-            {3: Heatmap(values=mixed, stride=4),
-             1: transposed,
-             2: Heatmap(values=np.ones((4, 6)), stride=4)},
-        ]
-        for maps in cases:
-            assert formats.serialize_weight_maps(maps) == \
-                per_cell_weight_maps(maps)
+    @settings(max_examples=200, deadline=None)
+    @given(repeating_weight_maps())
+    @example(FIXED_WEIGHT_MAPS[0])
+    @example(FIXED_WEIGHT_MAPS[1])
+    @example(FIXED_WEIGHT_MAPS[2])
+    @example(FIXED_WEIGHT_MAPS[3])
+    def test_matches_per_cell_formatting(self, maps):
+        # the row cache is shared across frames: a stale or conflated
+        # entry shows here
+        assert formats.serialize_weight_maps(maps) == \
+            per_cell_weight_maps(maps)
+
+
+@st.composite
+def bitmaps(draw):
+    """All false, all true, only the first pixel, or drawn pixel by pixel;
+    1 x n, n x 1 or any shape up to 9 x 9."""
+    shape = draw(st.one_of(st.tuples(st.just(1), st.integers(1, 9)),
+                           st.tuples(st.integers(1, 9), st.just(1)),
+                           st.tuples(st.integers(1, 9), st.integers(1, 9))))
+    fill = draw(st.sampled_from(["none", "all", "first", "drawn"]))
+    bitmap = np.full(shape, fill == "all")
+    if fill == "first":
+        bitmap[0, 0] = True
+    elif fill == "drawn":
+        bitmap.flat[:] = draw(st.lists(st.booleans(), min_size=bitmap.size,
+                                       max_size=bitmap.size))
+    return bitmap
+
+
+class TestMaskText:
+    @settings(max_examples=100, deadline=None)
+    @given(bitmaps(), st.integers(0, 30), st.integers(0, 30))
+    def test_records_are_the_rle_counts(self, bitmap, x0, y0):
+        from autolabel3d.core import rle_encode
+        mask = Mask2D(origin=(x0, y0), bitmap=bitmap)
+        label = make_pseudolabels(0, n=1)[0]
+        ann = Annotation(frame_index=0, track_id=label.track_id,
+                         box2d=label.box2d, box3d=label.box3d,
+                         occlusion_level=0, mask=mask)
+        seq = make_sequence(0, n_frames=1, n_tracks=0)
+        seq = replace(seq, frames=(replace(seq.frames[0],
+                                           annotations=(ann,)),))
+        label = replace(label, mask=mask)
+        seq_text = formats.serialize_sequence(seq)
+        pl_text = formats.serialize_pseudolabels([label])
+        head = f"{label.track_id} {x0} {y0} {bitmap.shape[0]} {bitmap.shape[1]}"
+        counts = " ".join(map(str, rle_encode(bitmap)))
+        for text, tag in ((seq_text, "mask"), (pl_text, "plmask")):
+            assert text.splitlines()[-1] == f"{tag} {head} {counts}"
+        assert formats.parse_sequence(seq_text) == seq
+        assert formats.parse_pseudolabels(pl_text) == [label]
+
+    def test_each_mask_is_encoded_once(self, monkeypatch):
+        from autolabel3d import core
+        from autolabel3d.pipeline import PipelineConfig, run_pipeline
+        from autolabel3d.providers import NoiseConfig, OracleProviderSet
+        from autolabel3d.sampling import sample_sparse
+        from autolabel3d.simulator import SimConfig, simulate
+        seq = simulate(SimConfig(seed=2, duration=12, object_count=4))
+        merged, fwd, bwd = run_pipeline(
+            seq, sample_sparse(seq, 2, seed=2),
+            OracleProviderSet(seq, NoiseConfig.noiseless()), PipelineConfig())
+        documents = [[p for h in fwd for p in h.pseudolabels],
+                     [p for h in bwd for p in h.pseudolabels], merged]
+        masks = [a.mask for f in seq.frames for a in f.annotations]
+        masks += [p.mask for labels in documents for p in labels]
+        masks = [m for m in masks if m is not None]
+        distinct = {id(m) for m in masks}
+        assert len(masks) > 2 * len(distinct)  # the documents share masks
+        calls = []
+        encode = core.rle_encode
+        monkeypatch.setattr(core, "rle_encode",
+                            lambda bitmap: calls.append(1) or encode(bitmap))
+        formats.serialize_sequence(seq)
+        for labels in documents:
+            formats.serialize_pseudolabels(labels)
+        assert len(calls) == len(distinct)

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import formats, metrics
-from .config import NOISE_PROFILES, RunConfig, load_run_config
+from .config import NOISE_PROFILES, RunConfig, load_run_config, read_yaml
 from .core import CameraIntrinsics, InvalidArgument
 from .pipeline import coverage_report, emit_fncomp_weights, run_pipeline
 from .providers import OracleProviderSet
@@ -62,10 +62,11 @@ class ArtifactStore:
 
 
 def _parse_file(path: Path, parse):
-    """``parse`` the text of ``path``; a ``ParseError`` names the file."""
+    """``parse`` the text of ``path``; a ``ParseError`` or a byte that is
+    not UTF-8 names the file."""
     try:
         return parse(path.read_text(encoding="utf-8"))
-    except formats.ParseError as e:
+    except (formats.ParseError, UnicodeDecodeError) as e:
         raise formats.ParseError(f"{path}: {e}") from None
 
 
@@ -77,13 +78,15 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load_config(args) -> RunConfig:
-    """The ``--config`` YAML, each flag given set as the key it names."""
+def _load_config(args, extra=()) -> RunConfig:
+    """The ``--config`` YAML, each flag given set as the key it names, and
+    then each key of ``extra``."""
     overrides = {k: v for k, v in vars(args).items()
                  if v is not None and (k == "noise" or "." in k)}
     if args.seed is not None:
         overrides.update(dict.fromkeys(
             ("sim.seed", "noise.seed", "sampling.seed"), args.seed))
+    overrides.update(extra)
     return load_run_config(args.config, overrides)
 
 
@@ -211,42 +214,42 @@ def cmd_losses_check(args, cfg: RunConfig, store: ArtifactStore):
         raise InvalidArgument("gradient check failed")
 
 
-def _sweep_budgets(spec: str) -> list[int]:
-    """The budgets of ``--sweep max_per_track=V1,V2,...``, each >= 1."""
-    key, _, values = spec.partition("=")
-    if key != "max_per_track" or not values:
-        raise InvalidArgument(
-            f"--sweep expects max_per_track=V1,V2,..., got {spec!r}")
-    for v in values.split(","):
-        if not v.isdecimal() or int(v) < 1:
-            raise InvalidArgument(f"--sweep value {v!r} is not an integer >= 1")
-    return [int(v) for v in values.split(",")]
-
-
 def cmd_e2e(args, cfg: RunConfig, store: ArtifactStore):
-    budgets = _sweep_budgets(args.sweep) if args.sweep else []
+    # --sweep KEY=V1,V2,...: each value read as YAML and set as KEY, the
+    # way a flag sets the key it names; every value is checked up front
+    name, _, values = (args.sweep or "").partition("=")
+    key = "sampling.max_per_track" if name == "max_per_track" else name
+    cells = []
+    for v in values.split(",") if args.sweep else []:
+        where = f"--sweep value {v!r} in {args.sweep!r}"
+        value = read_yaml(v, where)
+        try:
+            cells.append((v, _load_config(args, {key: value})))
+        except InvalidArgument as e:
+            raise InvalidArgument(f"{where}: {e}") from None
     cmd_simulate(args, cfg, store)
     cmd_sample(args, cfg, store)
     cmd_pseudolabel(args, cfg, store)
     cmd_fn_weights(args, cfg, store)
     cmd_evaluate(args, cfg, store)
-    if not budgets:
+    if not cells:
         return
 
-    seq = store.get(SEQUENCE_FILE, formats.parse_sequence)
+    shared = store.get(SEQUENCE_FILE, formats.parse_sequence)
     rows = []
-    for k in budgets:
-        sparse = sample_sparse(seq, k, cfg.sampling.seed)
-        merged, _, _ = run_pipeline(seq, sparse, _providers(seq, cfg),
-                                    cfg.pipeline)
+    for v, c in cells:
+        seq = shared if c.sim == cfg.sim else simulate(c.sim)
+        sparse = sample_sparse(seq, c.sampling.max_per_track, c.sampling.seed)
+        merged, _, _ = run_pipeline(seq, sparse, _providers(seq, c),
+                                    c.pipeline)
         cov = coverage_report(seq, merged).overall_fraction
-        rep = metrics.evaluate(seq, merged, cfg.metrics.dist_threshold,
-                               cfg.metrics.recall_grid)
-        rows.append((k, cov, rep.mota, rep.idf1))
-    store.put(SWEEP_CSV, [("max_per_track", "coverage", "mota", "idf1")]
-              + rows, _csv_text)
+        rep = metrics.evaluate(seq, merged, c.metrics.dist_threshold,
+                               c.metrics.recall_grid)
+        rows.append((v, cov, rep.mota, rep.idf1))
+    store.put(SWEEP_CSV, [(name, "coverage", "mota", "idf1")] + rows,
+              _csv_text)
     print("sweep: " + "; ".join(
-        f"k={k}: coverage={c:.4f} MOTA={m:.4f}" for k, c, m, _ in rows))
+        f"{name}={v}: coverage={c:.4f} MOTA={m:.4f}" for v, c, m, _ in rows))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,7 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     kitti.add_argument("--calib")
     add("losses-check", cmd_losses_check, "gradient-check every loss")
     e2e = add("e2e", cmd_e2e, "simulate, sample, pseudolabel, weight, evaluate")
-    e2e.add_argument("--sweep", help="e.g. max_per_track=2,4,8,16")
+    e2e.add_argument(
+        "--sweep", metavar="KEY=V1,V2,...",
+        help="after the run, score one row of sweep.csv per value: KEY is "
+             "noise, a section.field config key or max_per_track "
+             "(sampling.max_per_track), and each value is read as YAML and "
+             "checked like the config file, e.g. max_per_track=2,4,8,16 or "
+             "pipeline.discard_threshold=0,0.5")
 
     return parser
 

@@ -142,7 +142,8 @@ def run_config_from_dict(data, overrides=None) -> RunConfig:
     """The run config of a YAML mapping, each override written in as the
     mapping would hold it: ``noise`` takes a profile name, other keys are
     ``section.field``. The profile, named or the default, is expanded
-    first, so an override can set ``noise.seed``."""
+    first, so an override can set ``noise.seed``; a partial ``noise``
+    mapping starts from the default profile too."""
     if isinstance(data, dict):  # else _build names the root
         overrides = dict(overrides or {})
         noise = overrides.pop("noise", data.get("noise", DEFAULT_NOISE))
@@ -152,8 +153,13 @@ def run_config_from_dict(data, overrides=None) -> RunConfig:
                     f"unknown noise profile {noise!r}; "
                     f"profiles: {sorted(NOISE_PROFILES)}")
             noise = asdict(NOISE_PROFILES[noise])
+        elif isinstance(noise, dict):
+            noise = {**asdict(NOISE_PROFILES[DEFAULT_NOISE]), **noise}
         data = {**data, "noise": noise}
         for key, value in overrides.items():
+            if key.count(".") != 1:
+                raise InvalidArgument(f"override key {key!r} is neither "
+                                      "'noise' nor section.field")
             section, name = key.split(".")
             # a section that is no mapping is left for _build to name
             if isinstance(data.setdefault(section, {}), dict):
@@ -161,6 +167,19 @@ def run_config_from_dict(data, overrides=None) -> RunConfig:
     return _build(RunConfig, data)
 
 
+def read_yaml(text: str, where: str):
+    """What ``yaml.safe_load`` reads from ``text``; bad YAML, such as a
+    syntax error or a tag it refuses, is an ``InvalidArgument`` naming
+    ``where``."""
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as e:
+        raise InvalidArgument(f"{where}: {e}") from None
+
+
 def load_run_config(path=None, overrides=None) -> RunConfig:
-    text = Path(path).read_text(encoding="utf-8") if path else ""
-    return run_config_from_dict(yaml.safe_load(text) or {}, overrides)
+    try:
+        text = Path(path).read_text(encoding="utf-8") if path else ""
+    except UnicodeDecodeError as e:
+        raise InvalidArgument(f"{path}: {e}") from None
+    return run_config_from_dict(read_yaml(text, path) or {}, overrides)

@@ -10,6 +10,7 @@ formatting every cell and record afresh.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -62,6 +63,13 @@ class KittiLabelRow:
             raise InvalidArgument(f"frame must be >= 0, got {self.frame}")
         if self.type == "DontCare":  # KITTI writes -1 for its id and occlusion
             return
+        for name, values in (("bbox", self.bbox), ("dims", self.dims),
+                             ("location", self.location),
+                             ("rotation_y", (self.rotation_y,))):
+            if not all(map(math.isfinite, values)):
+                raise InvalidArgument(f"{name} must be finite, got {values}")
+        if min(self.dims) <= 0:
+            raise InvalidArgument(f"dims must be positive, got {self.dims}")
         left, top, right, bottom = self.bbox
         if right <= left or bottom <= top:
             raise InvalidArgument(
@@ -81,9 +89,11 @@ _KITTI_FIELDS = ("frame", "track_id", "type", "truncated", "occluded", "alpha",
 
 def parse_kitti_labels(text: str) -> list[KittiLabelRow]:
     """Parse a KITTI tracking label file (17 or 18 tokens per line). A row
-    that is malformed or that ``KittiLabelRow`` rejects raises a
+    that is malformed, that ``KittiLabelRow`` rejects, or that repeats the
+    (frame, track id) of an earlier row other than DontCare raises a
     ``ParseError`` naming its line."""
     rows = []
+    seen: set[tuple[int, int]] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         if not tokens:
@@ -101,35 +111,28 @@ def parse_kitti_labels(text: str) -> list[KittiLabelRow]:
                     f"for field {_KITTI_FIELDS[idx]!r}") from None
 
         try:
-            rows.append(KittiLabelRow(
+            row = KittiLabelRow(
                 frame=num(0, int),
                 track_id=num(1, int),
                 type=tokens[2],
                 truncated=num(3),
-                occluded=num(4, lambda s: int(float(s))),
+                occluded=num(4, int),
                 alpha=num(5),
                 bbox=(num(6), num(7), num(8), num(9)),
                 dims=(num(10), num(11), num(12)),
                 location=(num(13), num(14), num(15)),
                 rotation_y=num(16),
                 score=num(17) if len(tokens) == 18 else None,
-            ))
+            )
+            if row.type != "DontCare":
+                key = (row.frame, row.track_id)
+                if key in seen:
+                    raise InvalidArgument(f"duplicate (frame, track_id) {key}")
+                seen.add(key)
         except InvalidArgument as e:
             raise ParseError(f"line {lineno}: {e}") from None
+        rows.append(row)
     return rows
-
-
-def serialize_kitti_labels(rows: list[KittiLabelRow]) -> str:
-    lines = []
-    for r in rows:
-        parts = [str(r.frame), str(r.track_id), r.type, fmt_float(r.truncated),
-                 str(r.occluded), fmt_float(r.alpha),
-                 _floats(*r.bbox), _floats(*r.dims), _floats(*r.location),
-                 fmt_float(r.rotation_y)]
-        if r.score is not None:
-            parts.append(fmt_float(r.score))
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 @dataclass(frozen=True)
@@ -167,7 +170,8 @@ def kitti_rows_to_sequence(rows, intrinsics: CameraIntrinsics, seq_id: str = "ki
                            frame_rate: float = 10.0,
                            vehicle_categories=DEFAULT_VEHICLE_CATEGORIES,
                            ) -> tuple[Sequence, ConversionStats]:
-    """Build a Sequence from KITTI rows.
+    """Build a Sequence from the rows of ``parse_kitti_labels``, which has
+    rejected a repeated (frame, track id) naming its line.
 
     KITTI locations are bottom-center; Box3D uses the geometric center, so y
     is shifted up by h/2 (camera y points down). KITTI dims come as (h, w, l)
@@ -175,7 +179,6 @@ def kitti_rows_to_sequence(rows, intrinsics: CameraIntrinsics, seq_id: str = "ki
     """
     stats = ConversionStats()
     per_frame: dict[int, list[Annotation]] = {}
-    seen: set[tuple[int, int]] = set()
     for r in rows:
         if r.type == "DontCare":
             stats.dropped_dontcare += 1
@@ -183,10 +186,6 @@ def kitti_rows_to_sequence(rows, intrinsics: CameraIntrinsics, seq_id: str = "ki
         if r.type not in vehicle_categories:
             stats.dropped_category += 1
             continue
-        key = (r.frame, r.track_id)
-        if key in seen:
-            raise InvalidArgument(f"duplicate (frame, track_id) {key}")
-        seen.add(key)
         h, w, l = r.dims
         x, y, z = r.location
         center = (x, y - h / 2.0, z)

@@ -3,11 +3,13 @@ import hashlib
 from pathlib import Path
 
 import pytest
+import yaml
 
 from autolabel3d import formats
 from autolabel3d.cli import main
 
 DATA = Path(__file__).parent / "data"
+ARTIFACTS = Path(__file__).parent.parent / "artifacts"
 
 SMALL_CONFIG = """\
 sim:
@@ -15,6 +17,14 @@ sim:
   object_count: 3
   seed: 0
 noise: noiseless
+"""
+
+# criterion 8's scene, whose sweeps are committed under artifacts/
+SWEEP_CONFIG = """\
+sim:
+  duration: 60
+  object_count: 6
+noise: medium
 """
 
 # the scene of tests/data/e2e_digests.txt
@@ -69,6 +79,41 @@ class TestE2E:
         assert [r["max_per_track"] for r in rows] == ["2", "4"]
         assert all(0.0 <= float(r["coverage"]) <= 1.0 for r in rows)
 
+    @pytest.mark.parametrize("spec", [
+        "noise=noiseless,medium", "pipeline.source_update_threshold=0.5,1.0",
+        "sim.seed=0,1"])
+    def test_a_sweep_row_is_the_run_of_its_value(self, tmp_path, spec):
+        # each row scores what e2e scores on the YAML holding that value
+        key, _, values = spec.partition("=")
+        section, _, name = key.partition(".")
+        data = yaml.safe_load(SMALL_CONFIG.replace("noiseless", "medium"))
+        out = tmp_path / "sweep"
+        assert run("--config", write_config(tmp_path, yaml.safe_dump(data)),
+                   "--out", str(out), "e2e", "--sweep", spec) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r[key] for r in rows] == values.split(",")
+        for i, (row, v) in enumerate(zip(rows, values.split(","))):
+            cell = {**data, section: {**data.get(section, {}),
+                                      name: yaml.safe_load(v)} if name else v}
+            one = tmp_path / f"one{i}"
+            assert run("--config", write_config(tmp_path, yaml.safe_dump(cell)),
+                       "--out", str(one), "e2e") == 0
+            report = formats.parse_metric_report(
+                (one / "metric_report.txt").read_text())
+            assert (float(row["mota"]), float(row["idf1"])) == \
+                (report.mota, report.idf1), v
+
+    def test_ablation_gates_csv(self, tmp_path):
+        # the discard gate swept on criterion 8's scene; the file is this
+        # run's sweep.csv, so a change to it is regenerated, not edited
+        out = tmp_path / "out"
+        assert run("--config", write_config(tmp_path, SWEEP_CONFIG), "--out",
+                   str(out), "e2e", "--sweep",
+                   "pipeline.discard_threshold=0,0.25,0.5,0.75") == 0
+        assert (out / "sweep.csv").read_bytes() == \
+            (ARTIFACTS / "ablation_gates.csv").read_bytes()
+
     def test_e2e_parses_none_of_its_outputs(self, tmp_path, monkeypatch):
         calls = []
         for name in ("parse_sequence", "parse_sparse_labels",
@@ -101,7 +146,19 @@ class TestE2E:
     # (--sweep spec, the part of it the error must name)
     BAD_SWEEPS = [("window=1,2", "window=1,2"), ("max_per_track=a", "'a'"),
                   ("max_per_track=0", "'0'"), ("max_per_track=2,-1", "'-1'"),
-                  ("max_per_track=", "'max_per_track='")]
+                  ("max_per_track=", "'max_per_track='"),
+                  ("sim.seed=0,-1", "sim.seed must be >= 0"),
+                  ("sim.seed=[", "--sweep value '['"),
+                  ("sim.seed=!!python/object/apply:os.getcwd []",
+                   "--sweep value '!!python"),
+                  ("pipeline.discard_threshold=0.5,.nan",
+                   "pipeline.discard_threshold"),
+                  ("pipeline.discard_threshold=0.9",
+                   "pipeline.discard_threshold"),
+                  ("sim.warp=1", "unknown keys in sim"),
+                  ("noise=extreme", "unknown noise profile"),
+                  ("noise.seed.x=1", "'noise.seed.x'"),
+                  ("heatmap_stride=2", "'heatmap_stride'")]
 
     def test_bad_sweep_spec(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -273,7 +330,9 @@ class TestStepwise:
                     "sim.intrinsics"),
                    ("sim:\n  length_range: [-2, -1]\n", "sim.length_range"),
                    ("sim:\n  width_range: [0, 0]\n", "sim.width_range"),
-                   ("sim:\n  layout: hex\n", "sim.layout")]
+                   ("sim:\n  layout: hex\n", "sim.layout"),
+                   ("sim: [\n", "run.yaml"),
+                   ("sim: !!python/object/apply:os.getcwd []\n", "run.yaml")]
 
     def test_bad_config_file(self, tmp_path, capsys):
         for i, (text, named) in enumerate(self.BAD_CONFIGS):
@@ -282,6 +341,23 @@ class TestStepwise:
             assert run("--config", cfg, "--out", str(out), "e2e") == 1, text
             assert named in capsys.readouterr().err, text
             assert not out.exists(), text
+
+    @pytest.mark.parametrize("name", ["run.yaml", "labels.txt",
+                                      "sequence.txt"])
+    def test_a_byte_not_utf8_names_its_file(self, tmp_path, capsys, name):
+        cfg, out = write_config(tmp_path), tmp_path / "out"
+        labels = tmp_path / "labels.txt"
+        labels.write_text(TestParseKitti.GOOD_ROW + "\n")
+        assert run("--config", cfg, "--out", str(out), "simulate") == 0
+        path = out / name if name == "sequence.txt" else tmp_path / name
+        path.write_bytes(path.read_bytes() + b"# \xff\n")
+        command = {"run.yaml": ["e2e"], "sequence.txt": ["sample"],
+                   "labels.txt": ["parse-kitti", "--labels", str(labels)]}
+        capsys.readouterr()
+        assert run("--config", cfg, "--out", str(out), *command[name]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: 'utf-8' codec can't decode" in err, err
+        assert [p.name for p in out.iterdir()] == ["sequence.txt"]
 
 
 class TestFlags:
@@ -364,6 +440,15 @@ class TestParseKitti:
         pytest.param(4, "inf", "invalid value 'inf' for field 'occluded'",
                      id="occluded-inf"),
         pytest.param(16, "", "expected 17 or 18 tokens", id="short-row"),
+        pytest.param(4, "2.9", "invalid value '2.9' for field 'occluded'",
+                     id="occluded-2.9"),
+        pytest.param(6, "nan", "bbox must be finite", id="bbox-nan"),
+        pytest.param(9, "inf", "bbox must be finite", id="bbox-inf"),
+        pytest.param(12, "-4.2", "dims must be positive", id="negative-dim"),
+        pytest.param(10, "0", "dims must be positive", id="zero-dim"),
+        pytest.param(15, "nan", "location must be finite", id="location-nan"),
+        pytest.param(0, "0", "duplicate (frame, track_id) (0, 0)",
+                     id="duplicate"),
     ])
     def test_bad_row_names_file_and_line(self, tmp_path, capsys, field,
                                          value, named):

@@ -33,13 +33,24 @@ class TestOverrides:
         assert noise({}, {"noise.seed": 5}) == NoiseConfig.noiseless(seed=5)
         assert RunConfig().noise == NoiseConfig.noiseless()
 
+    def test_a_partial_noise_section_starts_from_the_default_profile(self):
+        # so a YAML key is the same run as the flag or override that sets it
+        assert run_config_from_dict({"noise": {"seed": 3}}).noise == \
+            NoiseConfig.noiseless(seed=3)
+        assert run_config_from_dict({"noise": {"seed": 3}}) == \
+            run_config_from_dict({}, {"noise.seed": 3})
+        with pytest.raises(InvalidArgument, match="unknown keys in noise"):
+            run_config_from_dict({"noise": {"warp": 1}})
+
     def test_a_bad_override_names_its_key(self):
         for overrides, named in (({"sampling.window": -1}, "sampling.window"),
                                  ({"sampling.window": "3"},
                                   "sampling.window must be an integer"),
                                  ({"noise.seed": -1}, "noise.seed"),
                                  ({"noise": "extreme"}, "unknown noise profile"),
-                                 ({"sim.warp": 1}, "unknown keys in sim")):
+                                 ({"sim.warp": 1}, "unknown keys in sim"),
+                                 ({"window": 1}, "'window' is neither"),
+                                 ({"sim.seed.x": 1}, "'sim.seed.x' is neither")):
             with pytest.raises(InvalidArgument, match=named):
                 run_config_from_dict({}, overrides)
 

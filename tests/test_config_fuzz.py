@@ -39,10 +39,11 @@ NUMBERS = st.one_of(st.sampled_from([float("nan"), float("inf"),
                     st.floats())
 
 
-def run_e2e(data, *flags):
-    """(exit code, stderr) of ``e2e`` on the YAML of ``data``; on exit 0,
-    also run ``evaluate`` alone on the same ``--out`` and check that it
-    exits 0 and writes the report ``e2e`` wrote."""
+def run_e2e(data, *flags, sweep=None):
+    """(exit code, stderr) of ``e2e`` on the YAML of ``data``, with
+    ``--sweep`` if given; on exit 0, also run ``evaluate`` alone on the same
+    ``--out`` and check that it exits 0 and writes the report ``e2e``
+    wrote."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "c.yaml"
         cfg.write_text(yaml.safe_dump(data), encoding="utf-8")
@@ -51,7 +52,8 @@ def run_e2e(data, *flags):
         err = io.StringIO()
         with contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv + ["e2e", *flags])
+            code = main(argv + ["e2e", *flags]
+                        + (["--sweep", sweep] if sweep else []))
             if code == 0:
                 report = (out / "metric_report.txt").read_bytes()
                 assert main(argv + ["evaluate", *flags]) == 0, err.getvalue()
@@ -72,6 +74,21 @@ def test_bad_float_runs_or_names_its_key(field, value):
     data[section] = {name: [value] if name == "recall_grid" else value}
     code, err = run_e2e(data)
     assert code in (0, 1), (value, err)
+    if code == 1:
+        assert f"{section}.{name}" in err, (value, err)
+
+
+@pytest.mark.parametrize("field", [f for f in FLOAT_FIELDS
+                                   if f[1] != "recall_grid"],
+                         ids="{0[0]}.{0[1]}".format)
+@settings(max_examples=12, deadline=None)
+@given(value=NUMBERS)
+def test_a_sweep_value_is_the_yaml_value(field, value):
+    # the value as the YAML file would hold it, e.g. .nan or 1.0e+300
+    section, name = field
+    text = yaml.safe_dump(value).splitlines()[0]
+    code, err = run_e2e(SCENE, sweep=f"{section}.{name}={text}")
+    assert code == run_e2e({**SCENE, section: {name: value}})[0], (value, err)
     if code == 1:
         assert f"{section}.{name}" in err, (value, err)
 

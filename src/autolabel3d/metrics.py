@@ -8,6 +8,9 @@ from its pairs. CLEAR-MOT keeps the previous frame's correspondence alive
 while it stays within the threshold, so identity switches are well defined.
 A frame's assignment depends only on which of its gt and pred tracks are
 still open, so passes that share a memo solve each distinct one once.
+AMOTA's pass at each lower threshold steps only the frames holding a
+prediction of that confidence or whose carried-in correspondences differ
+in order (their order is the order their distances are summed in).
 """
 
 from __future__ import annotations
@@ -205,47 +208,76 @@ def _frame_assignment(dist, g_ids, p_ids) -> list[tuple[int, int, float]]:
             for i, j in hungarian(cost).items()]
 
 
-def _clear_mot_pass(table, floor: float, memo: Optional[dict] = None,
-                    ) -> tuple[Counts, float]:
+def _frame_step(frame, pos, prev, floor, memo):
+    """One frame of a CLEAR-MOT pass at ``floor`` after ``prev``: ``prev``,
+    the frame's correspondences, its new (gt, pred, distance) pairs, its
+    distances in summing order and how many predictions it keeps."""
+    gts, confs, dist = frame
+    prs = [p for p, c in confs.items() if c >= floor]
+    matched: dict[int, int] = {}
+    dists = []
+    for g, p in prev.items():
+        d = dist.get((g, p))
+        if d is not None and confs[p] >= floor:
+            matched[g] = p
+            dists.append(d)
+    pairs = []
+    # each match closes one gt and one kept pred; none open, none to assign
+    if dist and len(matched) < min(len(gts), len(prs)):
+        used = set(matched.values())
+        key = (pos, tuple([g for g in gts if g not in matched]),
+               tuple([p for p in prs if p not in used]))
+        pairs = memo.get(key)
+        if pairs is None:
+            pairs = memo[key] = _frame_assignment(dist, *key[1:])
+        for g, p, d in pairs:
+            matched[g] = p
+            dists.append(d)
+    return prev, matched, pairs, dists, len(prs)
+
+
+def _clear_mot_pass(table, floor: float, memo: dict,
+                    kept: list) -> tuple[Counts, float]:
     """CLEAR-MOT over the predictions with confidence >= ``floor``: the
     previous frame's correspondences are kept while they stay within the
     threshold, the rest are matched by minimum total distance. ``memo``
     keeps each frame's assignment by the tracks left open in it, which
-    fix its cost matrix; passes over one table may share it."""
-    memo = {} if memo is None else memo
-    tp = fp = fn = idsw = gt_total = 0
+    fix its cost matrix; passes over one table may share it. ``kept`` holds
+    each frame's ``_frame_step`` from the pass at the next higher of the
+    table's confidences, reused unless the frame holds one equal to
+    ``floor`` or gets other correspondences carried in (a dict is never
+    changed once built, so the very same object is the same input)."""
+    tp = n_prs = idsw = 0
     dist_sum = 0.0
     prev: dict[int, int] = {}        # gt track -> pred track, last frame
     last_match: dict[int, int] = {}  # gt track -> pred track, ever
 
-    for pos, (gts, confs, dist) in enumerate(table):
-        prs = [p for p, c in confs.items() if c >= floor]
-        gt_total += len(gts)
-        matched: dict[int, int] = {}
-        for g, p in prev.items():
-            d = dist.get((g, p))
-            if d is not None and confs[p] >= floor:
-                matched[g] = p
-                dist_sum += d
-        if dist:
-            used = set(matched.values())
-            key = (pos, tuple(g for g in gts if g not in matched),
-                   tuple(p for p in prs if p not in used))
-            pairs = memo.get(key)
-            if pairs is None:
-                pairs = memo[key] = _frame_assignment(dist, *key[1:])
-            for g, p, d in pairs:
-                matched[g] = p
-                dist_sum += d
-                if g in last_match and last_match[g] != p:
-                    idsw += 1
-
+    for pos, frame in enumerate(table):
+        step = kept[pos]
+        if (step is None or floor in frame[1].values() or (step[0] is not prev
+                and list(step[0].items()) != list(prev.items()))):
+            step = kept[pos] = _frame_step(frame, pos, prev, floor, memo)
+        _, matched, pairs, dists, n = step
+        for d in dists:
+            dist_sum += d
+        for g, p, _ in pairs:
+            if last_match.get(g, p) != p:
+                idsw += 1
         tp += len(matched)
-        fp += len(prs) - len(matched)
-        fn += len(gts) - len(matched)
+        n_prs += n
         prev = matched
         last_match.update(matched)
-    return Counts(tp, fp, fn, idsw, gt_total), dist_sum
+    gt_total = sum(len(gts) for gts, _, _ in table)
+    return Counts(tp, n_prs - tp, gt_total - tp, idsw, gt_total), dist_sum
+
+
+def _threshold_sweep(table, memo: dict) -> list[tuple[float, Counts, float]]:
+    """(threshold, counts, matched distance sum) of a CLEAR-MOT pass at each
+    distinct confidence, falling; each pass reuses the frames of the last."""
+    confs = {c for _, cs, _ in table for c in cs.values()}
+    kept: list = [None] * len(table)
+    return [(th, *_clear_mot_pass(table, th, memo, kept))
+            for th in sorted(confs, reverse=True)]
 
 
 def clear_mot(seq: Sequence, preds: list[Pseudolabel],
@@ -256,7 +288,8 @@ def clear_mot(seq: Sequence, preds: list[Pseudolabel],
     (from ``_association``) and ``memo`` let ``evaluate`` share them."""
     if table is None:
         table = _association(seq, preds, dist_threshold)
-    c, dist_sum = _clear_mot_pass(table, -math.inf, memo)
+    c, dist_sum = _clear_mot_pass(table, -math.inf, {} if memo is None
+                                  else memo, [None] * len(table))
     mota = 1.0 - (c.fp + c.fn + c.idsw) / c.gt_total if c.gt_total else 1.0
     motp = dist_sum / c.tp if c.tp else 0.0
     return mota, motp, c, dist_sum
@@ -298,6 +331,8 @@ def amota_amotp(seq: Sequence, preds: list[Pseudolabel],
 
     For each grid recall the threshold achieving the smallest recall >= r is
     used; unreachable recalls score MOTAR 0 and are excluded from AMOTP.
+    Each threshold's pass is ``clear_mot`` on the predictions at or above
+    it, bit for bit, reusing the frames it leaves unchanged (see module).
     """
     gt_total = sum(len(f.annotations) for f in seq.frames)
     if gt_total == 0:
@@ -305,23 +340,17 @@ def amota_amotp(seq: Sequence, preds: list[Pseudolabel],
 
     if table is None:
         table = _association(seq, preds, dist_threshold)
-    memo = {} if memo is None else memo
-    thresholds = sorted({p.confidence for p in preds}, reverse=True)
-    sweep = []  # (recall, counts, mean matched distance)
-    for th in thresholds:
-        counts, dist_sum = _clear_mot_pass(table, th, memo)
-        recall = counts.tp / gt_total
-        motp = dist_sum / counts.tp if counts.tp else None
-        sweep.append((recall, counts, motp))
+    # (recall, counts, mean matched distance) per threshold
+    sweep = [(c.tp / gt_total, c, dist_sum / c.tp if c.tp else None)
+             for _, c, dist_sum in
+             _threshold_sweep(table, {} if memo is None else memo)]
 
     points: list[RecallPoint] = []
     motars = []
     motps = []
     for r in recall_grid:
-        best = None
-        for recall, counts, motp in sweep:
-            if recall >= r and (best is None or recall < best[0]):
-                best = (recall, counts, motp)
+        best = min((s for s in sweep if s[0] >= r), key=lambda s: s[0],
+                   default=None)
         if best is None:
             points.append(RecallPoint(recall=r, motar=0.0, motp=None,
                                       tp=0, fp=0, fn=gt_total, idsw=0,

@@ -183,11 +183,12 @@ def emit_fncomp_weights(seq: Sequence, pseudolabels: list[Pseudolabel],
         by_frame.setdefault(p.frame_index, []).append(p)
     K = seq.intrinsics
     stride = fn_provider.heatmap_stride
+    stamps = getattr(fn_provider, "stamps", {})
     weights: dict[int, Heatmap] = {}
     for f in seq.frames:
         objectness = fn_provider.objectness(f.frame_index)
         coverage = splat_boxes([p.box2d for p in by_frame.get(f.frame_index, [])],
-                               K.width, K.height, stride)
+                               K.width, K.height, stride, stamps)
         p_fn = np.maximum(objectness.values - coverage.values, 0.0)
         w = np.clip(1.0 - p_fn, cfg.fncomp_floor, 1.0)
         weights[f.frame_index] = Heatmap(values=w, stride=stride)

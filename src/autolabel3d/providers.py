@@ -128,19 +128,22 @@ def heatmap_shape(width: int, height: int, stride: int) -> tuple[int, int]:
 _EXP_UNDERFLOW = 746.0
 
 
-def splat_boxes(boxes: list[Box2D], width: int, height: int,
-                stride: int) -> Heatmap:
+def splat_boxes(boxes: list[Box2D], width: int, height: int, stride: int,
+                stamps: Optional[dict] = None) -> Heatmap:
     """Max-composed Gaussian splats at box centers; peak cell value is 1.
 
-    Each splat is evaluated only on the cells with |dx|, |dy| <=
-    ceil(sigma * sqrt(2 * 746)) around its center. Outside that window
-    d^2 / (2 sigma^2) > 746, so exp(-d^2 / (2 sigma^2)) underflows to
-    exactly 0.0, and max(x, 0.0) == x on a grid that starts at zeros. Inside
-    it the formula is the full-grid one, so the heatmap is bit-identical to
-    evaluating every splat over the whole grid.
+    A splat depends only on sigma and the integer offsets (dx, dy) from its
+    center cell, and is exactly 0.0 beyond |dx|, |dy| <= ceil(sigma *
+    sqrt(2 * 746)), where exp(-d^2 / (2 sigma^2)) underflows. So each sigma
+    gets one stamp of the full-grid formula over the offsets the grid can
+    hold, at most (2 rows - 1, 2 cols - 1), and a splat is its slice on the
+    grid: copies of the same floats, so the heatmap is bit-identical to
+    every splat evaluated over the whole grid. ``stamps``, keyed by (rows,
+    cols, sigma), may be shared by calls, as ``OracleProviderSet`` does.
     """
     rows, cols = heatmap_shape(width, height, stride)
     grid = np.zeros((rows, cols))
+    stamps = {} if stamps is None else stamps
     for b in boxes:
         ccol = int(b.cx / stride)
         crow = int(b.cy / stride)
@@ -148,13 +151,19 @@ def splat_boxes(boxes: list[Box2D], width: int, height: int,
             continue
         radius = gaussian_radius(b.h / stride, b.w / stride)
         sigma = max(radius / 3.0, 1e-6)
-        reach = math.ceil(sigma * math.sqrt(2 * _EXP_UNDERFLOW))
-        r0, r1 = max(crow - reach, 0), min(crow + reach + 1, rows)
-        c0, c1 = max(ccol - reach, 0), min(ccol + reach + 1, cols)
-        ys, xs = np.ogrid[r0:r1, c0:c1]
-        splat = np.exp(-((xs - ccol) ** 2 + (ys - crow) ** 2) / (2 * sigma ** 2))
+        stamp = stamps.get((rows, cols, sigma))
+        if stamp is None:
+            reach = math.ceil(sigma * math.sqrt(2 * _EXP_UNDERFLOW))
+            sr, sc = min(reach, rows - 1), min(reach, cols - 1)
+            ys, xs = np.ogrid[-sr:sr + 1, -sc:sc + 1]
+            stamp = stamps[rows, cols, sigma] = np.exp(
+                -(xs ** 2 + ys ** 2) / (2 * sigma ** 2))
+        sr, sc = stamp.shape[0] // 2, stamp.shape[1] // 2  # its centre cell
+        r0, r1 = max(crow - sr, 0), min(crow + sr + 1, rows)
+        c0, c1 = max(ccol - sc, 0), min(ccol + sc + 1, cols)
         window = grid[r0:r1, c0:c1]
-        np.maximum(window, splat, out=window)
+        np.maximum(window, stamp[r0 - crow + sr:r1 - crow + sr,
+                                 c0 - ccol + sc:c1 - ccol + sc], out=window)
     return Heatmap(values=grid, stride=stride)
 
 
@@ -166,6 +175,7 @@ class OracleProviderSet:
         self.seq = seq
         self.noise = noise if noise is not None else NoiseConfig.noiseless()
         self.heatmap_stride = heatmap_stride
+        self.stamps: dict = {}  # splat stamps, see ``splat_boxes``
 
     def _rng(self, tag: int, *key: int) -> np.random.Generator:
         return np.random.default_rng([self.noise.seed, tag, *key])
@@ -240,4 +250,4 @@ class OracleProviderSet:
         frame = self.seq.frame(frame_index)
         K = self.seq.intrinsics
         return splat_boxes([a.box2d for a in frame.annotations],
-                           K.width, K.height, self.heatmap_stride)
+                           K.width, K.height, self.heatmap_stride, self.stamps)

@@ -394,27 +394,41 @@ class TestOffSequencePredictions:
 # -- AMOTA by one clear_mot per threshold and IDF1 by a dummy-padded
 # assignment: the oracles of the association table the metrics share
 
-def reference_amota(seq, preds, dist_threshold):
-    """AMOTA/AMOTP from one public ``clear_mot`` per confidence threshold."""
-    gt_total = sum(len(f.annotations) for f in seq.frames)
-    sweep = []  # (recall, counts, mean matched distance), by falling threshold
+def reference_sweep(seq, preds, dist_threshold):
+    """(threshold, counts, matched distance sum) of one public ``clear_mot``
+    on the predictions at or above each confidence, falling."""
+    out = []
     for th in sorted({p.confidence for p in preds}, reverse=True):
         kept = [p for p in preds if p.confidence >= th]
         _, _, c, dist_sum = clear_mot(seq, kept, dist_threshold)
-        sweep.append((c.tp / gt_total, c, dist_sum / c.tp if c.tp else None))
-    motars, motps = [], []
+        out.append((th, c, dist_sum))
+    return out
+
+
+def reference_amota(seq, preds, dist_threshold):
+    """AMOTA, AMOTP and the per-recall points from one public ``clear_mot``
+    per confidence threshold."""
+    gt_total = sum(len(f.annotations) for f in seq.frames)
+    sweep = [(c.tp / gt_total, c, dist_sum / c.tp if c.tp else None)
+             for _, c, dist_sum in reference_sweep(seq, preds, dist_threshold)]
+    motars, motps, points = [], [], []
     for r in DEFAULT_RECALL_GRID:
         reached = [s for s in sweep if s[0] >= r]
         if not reached:
             motars.append(0.0)
+            points.append(metrics.RecallPoint(r, 0.0, None, 0, 0, gt_total,
+                                              0, False))
             continue
         _, c, motp = min(reached, key=lambda s: s[0])
         fn_r = max(c.fn, (1.0 - r) * gt_total)
         motars.append(max(1.0 - (c.idsw + c.fp + fn_r - (1.0 - r) * gt_total)
                           / (r * gt_total), 0.0))
+        points.append(metrics.RecallPoint(r, motars[-1], motp, c.tp, c.fp,
+                                          c.fn, c.idsw, True))
         if motp is not None:
             motps.append(motp)
-    return float(np.mean(motars)), float(np.mean(motps)) if motps else 0.0
+    return (float(np.mean(motars)), float(np.mean(motps)) if motps else 0.0,
+            points)
 
 
 def reference_idf1(seq, preds, dist_threshold):
@@ -492,5 +506,95 @@ class TestSharedAssociation:
         seq, preds, thr = scene
         assert idf1(seq, preds, thr) == reference_idf1(seq, preds, thr)
         if any(f.annotations for f in seq.frames):
-            amota, amotp, _ = amota_amotp(seq, preds, thr)
-            assert (amota, amotp) == reference_amota(seq, preds, thr)
+            assert (amota_amotp(seq, preds, thr)
+                    == reference_amota(seq, preds, thr))
+
+
+# -- AMOTA's sweep reuses the frames a threshold leaves unchanged
+
+CONF_LEVELS = (0.15, 0.2, 0.3, 0.35, 0.45, 0.6, 0.7, 0.8, 0.85, 1.0)
+
+
+@st.composite
+def sweep_specs(draw):
+    """Plain data for up to 5 gt tracks over up to 10 frames on a 1.5 m
+    lattice, and up to 5 predicted tracks near them with 10 confidence
+    levels: (frames, gts as (track, frame, x, z), preds as (track, frame,
+    x, z, confidence)). A gt track stays put; offsets are not dyadic, so
+    distance sums round."""
+    n_frames = draw(st.integers(1, 10))
+    cell = st.integers(-2, 2).map(lambda v: 1.5 * v)
+    gts = tuple((t, f, x, z)
+                for t, x, z in ((t, draw(cell), draw(cell))
+                                for t in range(draw(st.integers(1, 5))))
+                for f in range(n_frames) if draw(st.booleans()))
+    off = st.sampled_from([0.0, 0.1, -0.3, 0.7, 1.1, -1.3])
+    preds = []
+    for t in range(10, 10 + draw(st.integers(0, 5))):
+        for f in range(n_frames):
+            near = [g for g in gts if g[1] == f]
+            if near and draw(st.booleans()):
+                _, _, x, z = draw(st.sampled_from(near))
+                preds.append((t, f, x + draw(off), z + draw(off),
+                              draw(st.sampled_from(CONF_LEVELS))))
+    return n_frames, gts, tuple(preds)
+
+
+def sweep_scene(n_frames, gts, preds):
+    tracks: dict = {}
+    for t, f, x, z in gts:
+        tracks.setdefault(t, {})[f] = (x, 0.0, 10.0 + z)
+    return make_seq(tracks, n_frames), [pl(t, f, (x, 0.0, 10.0 + z), c)
+                                        for t, f, x, z, c in preds]
+
+
+# At 1.0 frame 0 keeps only track 11, so frame 1 carries gt 1 and assigns
+# gt 0, and hands frame 2 [(1, 11), (0, 10)]. At 0.6 frame 0 assigns both
+# and frame 2 gets [(0, 10), (1, 11)]: an equal dict in another order,
+# which sums frame 2's distances to other bits, so it must be stepped again
+CARRIED_IN_ANOTHER_ORDER = (
+    3, ((0, 0, 0.0, 0.0), (0, 1, 0.0, 0.0), (0, 2, 0.0, 0.0),
+        (1, 0, 3.0, 0.0), (1, 1, 3.0, 0.0), (1, 2, 3.0, 0.0)),
+    ((10, 0, 0.0, 0.0, 0.6), (11, 0, 4.1, 0.7, 1.0),
+     (10, 1, 0.7, 0.7, 1.0), (11, 1, 4.1, 0.0, 1.0),
+     (10, 2, 0.0, 0.7, 1.0), (11, 2, 4.1, 0.7, 1.0)))
+
+
+class TestSweepReuse:
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_specs())
+    @example(CARRIED_IN_ANOTHER_ORDER)
+    def test_each_threshold_is_its_own_clear_mot(self, spec):
+        seq, preds = sweep_scene(*spec)
+        if not any(f.annotations for f in seq.frames):
+            return
+        table = metrics._association(seq, preds, 2.0)
+        got = [(th, c, s.hex()) for th, c, s in
+               metrics._threshold_sweep(table, {})]
+        want = [(th, c, s.hex()) for th, c, s in
+                reference_sweep(seq, preds, 2.0)]
+        assert got == want
+        assert amota_amotp(seq, preds) == reference_amota(seq, preds, 2.0)
+
+    def test_a_pass_steps_only_the_frames_it_changes(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        seq = make_seq({t: {f: (2.5 * t, 0, 10 + f) for f in range(12)}
+                        for t in range(5)}, 12)
+        preds = [pl(a.track_id, f.frame_index,
+                    np.add(a.box3d.center, rng.normal(0, 0.6, 3)),
+                    conf=float(rng.uniform(0.1, 1.0)))
+                 for f in seq.frames for a in f.annotations]
+        levels = len({p.confidence for p in preds})
+        assert levels >= 20
+        step = metrics._frame_step
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return step(*args)
+
+        monkeypatch.setattr(metrics, "_frame_step", counted)
+        got = amota_amotp(seq, preds)
+        assert len(calls) < 0.5 * levels * len(seq.frames)
+        monkeypatch.undo()
+        assert got == reference_amota(seq, preds, 2.0)

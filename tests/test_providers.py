@@ -202,6 +202,7 @@ def full_grid_splats(boxes, width, height, stride):
 
 @st.composite
 def splat_scenes(draw):
+    """Two box lists on one grid, each with a box on every grid edge."""
     width = draw(st.integers(1, 160))
     height = draw(st.integers(1, 160))
     stride = draw(st.integers(1, 8))
@@ -213,13 +214,25 @@ def splat_scenes(draw):
         return st.one_of(st.sampled_from(edges),
                          st.floats(-2.0 * stride, extent + 2.0 * stride))
 
-    # sub-micro boxes hit the sigma floor; the largest exceed the image
+    # sub-micro boxes hit the sigma floor; the largest exceed the image;
+    # a few fixed sizes make sigmas repeat between the lists
     side = st.one_of(st.floats(1e-9, 1e-5), st.floats(0.5, 40.0),
-                     st.floats(40.0, 2000.0))
-    boxes = draw(st.lists(st.builds(Box2D, cx=coord(width),
-                                    cy=coord(height), w=side, h=side),
-                          max_size=12))
-    return boxes, width, height, stride
+                     st.floats(40.0, 2000.0), st.sampled_from([6.0, 90.0]))
+
+    def boxes():
+        inside_x = st.floats(0.0, width - 1e-9)
+        inside_y = st.floats(0.0, height - 1e-9)
+        # centre cells in the first and last column, first and last row
+        edge = [Box2D(cx=cx, cy=cy, w=draw(side), h=draw(side))
+                for cx, cy in ((0.0, draw(inside_y)),
+                               (width - 1e-9, draw(inside_y)),
+                               (draw(inside_x), 0.0),
+                               (draw(inside_x), height - 1e-9))]
+        return edge + draw(st.lists(st.builds(Box2D, cx=coord(width),
+                                              cy=coord(height), w=side,
+                                              h=side), max_size=8))
+
+    return (boxes(), boxes()), width, height, stride
 
 
 class TestObjectness:
@@ -243,12 +256,30 @@ class TestObjectness:
                             Box2D(cx=80, cy=80, w=16, h=16)], 100, 100, 4)
         assert np.array_equal(both.values, np.maximum(one.values, two.values))
 
-    @settings(max_examples=300, deadline=None)
-    @given(splat_scenes())
-    def test_window_is_bit_identical_to_full_grid(self, scene):
-        got = splat_boxes(*scene).values
-        want = full_grid_splats(*scene)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    @settings(max_examples=150, deadline=None)
+    @given(splat_scenes(), splat_scenes())
+    def test_window_is_bit_identical_to_full_grid(self, scene, other):
+        # both scenes of both grids go through one stamp cache
+        stamps = {}
+        for lists, width, height, stride in (scene, other):
+            for boxes in lists:
+                got = splat_boxes(boxes, width, height, stride, stamps).values
+                want = full_grid_splats(boxes, width, height, stride)
+                assert np.array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+        assert stamps
+        for (rows, cols, _), stamp in stamps.items():
+            assert stamp.shape[0] <= 2 * rows - 1
+            assert stamp.shape[1] <= 2 * cols - 1
+
+    def test_each_provider_set_keeps_its_own_stamps(self, seq):
+        one = OracleProviderSet(seq, NoiseConfig.noiseless())
+        two = OracleProviderSet(seq, NoiseConfig.noiseless())
+        one.objectness(0)
+        assert one.stamps and not two.stamps
+        two.objectness(0)
+        assert two.stamps.keys() == one.stamps.keys()
+        assert all(two.stamps[k] is not one.stamps[k] for k in one.stamps)
 
     def test_objectness_peaks_on_annotations(self, seq):
         prov = OracleProviderSet(seq, NoiseConfig.noiseless())

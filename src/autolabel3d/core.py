@@ -1,13 +1,16 @@
 """Shared domain types for the 3D track auto-labeling engine.
 
 All types are immutable value objects: construction validates invariants and
-instances are safe to share across threads.
+instances are safe to share across threads. The lookups derived from a frame
+or a sequence (``Frame.by_track``, ``Frame.occlusion``, ``Sequence.frame_map``,
+``Sequence.tracks``) are built once, on first read, and shared by every
+reader, which must not change them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -107,6 +110,49 @@ def iou_2d(a: Box2D, b: Box2D) -> float:
     inter = min(iw * ih, a.w * a.h, b.w * b.h)
     union = a.w * a.h + b.w * b.h - inter
     return inter / union
+
+
+def _rect_union_area(rects: list[tuple[float, float, float, float]]) -> float:
+    """Exact union area of axis-aligned rectangles via coordinate compression."""
+    if not rects:
+        return 0.0
+    xs = sorted({r[0] for r in rects} | {r[2] for r in rects})
+    ys = sorted({r[1] for r in rects} | {r[3] for r in rects})
+    area = 0.0
+    for i in range(len(xs) - 1):
+        cx = (xs[i] + xs[i + 1]) / 2.0
+        for j in range(len(ys) - 1):
+            cy = (ys[j] + ys[j + 1]) / 2.0
+            if any(r[0] <= cx <= r[2] and r[1] <= cy <= r[3] for r in rects):
+                area += (xs[i + 1] - xs[i]) * (ys[j + 1] - ys[j])
+    return area
+
+
+def occlusion_fractions(annotations) -> dict[int, float]:
+    """Fraction of each annotation's 2D box covered by the boxes of strictly
+    nearer ones, for annotations of distinct tracks as a ``Frame`` holds:
+    the union area of those boxes clipped to it, over its area, capped at 1.
+    Keyed by track id."""
+    fractions: dict[int, float] = {}
+    if not annotations:
+        return fractions
+    edges = np.array([(a.box2d.left, a.box2d.top, a.box2d.right,
+                       a.box2d.bottom) for a in annotations])
+    depth = np.array([a.box3d.center[2] for a in annotations])
+    # row i: every box clipped to box i
+    lo = np.maximum(edges[:, None, :2], edges[None, :, :2])
+    hi = np.minimum(edges[:, None, 2:], edges[None, :, 2:])
+    covers = (depth[None, :] < depth[:, None]) & (hi > lo).all(axis=2)
+    for i, a in enumerate(annotations):
+        js = np.flatnonzero(covers[i])
+        if not len(js):
+            fractions[a.track_id] = 0.0
+            continue
+        rects = np.concatenate([lo[i, js], hi[i, js]], axis=1).tolist()
+        tb = a.box2d
+        fractions[a.track_id] = min(_rect_union_area(rects) / (tb.w * tb.h),
+                                    1.0)
+    return fractions
 
 
 def rle_encode(bitmap: np.ndarray) -> list[int]:
@@ -264,6 +310,22 @@ class Frame:
         object.__setattr__(self, "ego_pose", pose)
         pose.setflags(write=False)
         object.__setattr__(self, "annotations", tuple(self.annotations))
+        if len(self.by_track) < len(self.annotations):
+            tracks = [a.track_id for a in self.annotations]
+            twice = next(t for i, t in enumerate(tracks) if t in tracks[:i])
+            raise InvalidArgument(f"frame {self.frame_index} annotates "
+                                  f"track {twice} twice")
+
+    @cached_property
+    def by_track(self) -> dict[int, Annotation]:
+        """Each annotated track's annotation."""
+        return {a.track_id: a for a in self.annotations}
+
+    @cached_property
+    def occlusion(self) -> dict[int, float]:
+        """Each annotated track's ``occlusion_fractions``, computed on the
+        first read (``simulate`` stores the ones it computed)."""
+        return occlusion_fractions(self.annotations)
 
     def __eq__(self, other):
         if not isinstance(other, Frame):
@@ -292,37 +354,31 @@ class Sequence:
             raise InvalidArgument("frame_rate must be positive")
 
     def frame(self, frame_index: int) -> Frame:
-        f = self.frame_map().get(frame_index)
+        f = self.frame_map.get(frame_index)
         if f is None:
             raise KeyError(f"no frame {frame_index} in sequence {self.id!r}")
         return f
 
+    @cached_property
     def frame_map(self) -> dict[int, Frame]:
-        cached = getattr(self, "_frame_map", None)
-        if cached is None:
-            cached = {f.frame_index: f for f in self.frames}
-            object.__setattr__(self, "_frame_map", cached)
-        return cached
+        return {f.frame_index: f for f in self.frames}
 
-    def annotation(self, frame_index: int, track_id: int) -> Optional[Annotation]:
-        f = self.frame_map().get(frame_index)
-        if f is None:
-            return None
-        for a in f.annotations:
-            if a.track_id == track_id:
-                return a
-        return None
-
-    def track_ids(self) -> list[int]:
-        seen: dict[int, None] = {}
+    @cached_property
+    def tracks(self) -> dict[int, tuple[Annotation, ...]]:
+        """Each track's annotations in frame order, the tracks in order of
+        first appearance."""
+        tracks: dict[int, list[Annotation]] = {}
         for f in self.frames:
             for a in f.annotations:
-                seen.setdefault(a.track_id, None)
-        return list(seen)
+                tracks.setdefault(a.track_id, []).append(a)
+        return {tid: tuple(anns) for tid, anns in tracks.items()}
 
-    def track_frames(self, track_id: int) -> list[int]:
-        return [f.frame_index for f in self.frames
-                if any(a.track_id == track_id for a in f.annotations)]
+    def annotation(self, frame_index: int, track_id: int) -> Optional[Annotation]:
+        f = self.frame_map.get(frame_index)
+        return None if f is None else f.by_track.get(track_id)
+
+    def track_ids(self) -> list[int]:
+        return list(self.tracks)
 
 
 @dataclass(frozen=True)

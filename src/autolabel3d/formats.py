@@ -232,15 +232,20 @@ def _check_header(text: str, kind: str) -> list[str]:
     return lines[1:]
 
 
-def _records(text: str, kind: str, on_record) -> None:
+def _records(text: str, kind: str, headers, on_record) -> None:
     """Check the header of a tagged document, then call
-    ``on_record(tag, fields)`` for each non-blank line. An ``IndexError`` or
-    ``ValueError`` from the handler (a short record, a bad number, a bad RLE,
-    a record out of place) becomes a ``ParseError`` naming the line."""
+    ``on_record(tag, fields)`` for each non-blank line. A second record of
+    a tag in ``headers`` raises a ``ParseError`` naming its line, and so
+    does an ``IndexError`` or ``ValueError`` from the handler (a short
+    record, a bad number, a bad RLE, a record out of place)."""
+    seen: set[str] = set()
     for lineno, line in enumerate(_check_header(text, kind), start=2):
         tokens = line.split()
         if not tokens:
             continue
+        if tokens[0] in headers and tokens[0] in seen:
+            raise ParseError(f"line {lineno}: repeated {tokens[0]!r} record")
+        seen.add(tokens[0])
         try:
             on_record(tokens[0], tokens[1:])
         except IndexError:
@@ -317,13 +322,19 @@ def parse_sequence(text: str) -> Sequence:
                 fx=float(f[0]), fy=float(f[1]), cx=float(f[2]), cy=float(f[3]),
                 width=int(f[4]), height=int(f[5]))
         elif tag == "frame":
+            if frames and int(f[0]) <= frames[-1][0].frame_index:
+                raise ParseError("frame_index must be strictly increasing")
             pose = np.array([float(v) for v in f[1:13]]).reshape(3, 4)
             frames.append((Frame(int(f[0]), pose, ()), []))
         elif tag == "ann":
             frame, anns = _last(frames, "frame")
+            track_id = int(f[0])
+            if any(a.track_id == track_id for a in anns):
+                raise ParseError(f"frame {frame.frame_index} annotates track "
+                                 f"{track_id} twice")
             box2d, box3d = _parse_boxes(f[1:13])
             anns.append(Annotation(
-                frame_index=frame.frame_index, track_id=int(f[0]), box2d=box2d,
+                frame_index=frame.frame_index, track_id=track_id, box2d=box2d,
                 box3d=box3d, occlusion_level=int(f[13]),
                 visibility=None if f[14] == "-" else int(f[14])))
         elif tag == "mask":
@@ -331,7 +342,7 @@ def parse_sequence(text: str) -> Sequence:
         else:
             raise ParseError(f"unknown record {tag!r}")
 
-    _records(text, "sequence", on_record)
+    _records(text, "sequence", ("sequence", "intrinsics"), on_record)
     if "id" not in head or "intrinsics" not in head:
         raise ParseError("sequence document missing header records")
     return Sequence(frames=tuple(replace(frame, annotations=tuple(anns))
@@ -367,13 +378,18 @@ def parse_sparse_labels(text: str):
         elif tag == "reduction_ratio":
             head[tag] = float(f[0])
         elif tag == "track":
-            selected[int(f[0])] = tuple(int(v) for v in f[1:])
+            track_id = int(f[0])
+            if track_id in selected:
+                raise ParseError(f"repeated track {track_id}")
+            selected[track_id] = tuple(int(v) for v in f[1:])
         elif tag == "omitted":
             omitted.append((int(f[0]), f[1]))
         else:
             raise ParseError(f"unknown record {tag!r}")
 
-    _records(text, "sparselabels", on_record)
+    _records(text, "sparselabels",
+             ("sequence", "max_per_track", "seed", "reduction_ratio"),
+             on_record)
     if len(head) != 4:
         raise ParseError("sparse labels document missing header records")
     return SparseLabelSet(selected=selected, omitted=tuple(omitted), **head)
@@ -402,7 +418,7 @@ def parse_mining_pairs(text: str):
             waypoint_frame=None if waypoint == "-" else int(waypoint),
             target_frame=int(target)))
 
-    _records(text, "miningpairs", on_record)
+    _records(text, "miningpairs", (), on_record)
     return pairs
 
 
@@ -434,7 +450,7 @@ def parse_pseudolabels(text: str) -> list[Pseudolabel]:
         else:
             raise ParseError(f"unknown record {tag!r}")
 
-    _records(text, "pseudolabels", on_record)
+    _records(text, "pseudolabels", (), on_record)
     return labels
 
 
@@ -543,7 +559,9 @@ def parse_metric_report(text: str):
         else:
             raise ParseError(f"unknown record {tag!r}")
 
-    _records(text, "metricreport", on_record)
+    _records(text, "metricreport",
+             ("mota", "motp", "idf1", "amota", "amotp", "counts", "config"),
+             on_record)
     if len(fields) != 8:
         raise ParseError("metric report missing header records")
     return MetricReport(per_recall=tuple(per_recall), **fields)

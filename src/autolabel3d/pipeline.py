@@ -228,8 +228,8 @@ def coverage_report(seq: Sequence, pseudolabels: list[Pseudolabel],
         labeled.setdefault(p.track_id, set()).add(p.frame_index)
         confs.setdefault(p.track_id, []).append(p.confidence)
     per_track = []
-    for tid in sorted(seq.track_ids()):
-        gt_frames = set(seq.track_frames(tid))
+    for tid in sorted(seq.tracks):
+        gt_frames = {a.frame_index for a in seq.tracks[tid]}
         covered = gt_frames & labeled.get(tid, set())
         cs = confs.get(tid, [])
         per_track.append(TrackCoverage(

@@ -10,15 +10,14 @@ order and parallel schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import (AWAY, TOWARDS, Box2D, Box3D, Heatmap, InvalidArgument,
-                   Mask2D, Sequence)
+from .core import (AWAY, TOWARDS, Box2D, Heatmap, InvalidArgument, Mask2D,
+                   Sequence)
 from .geometry import PixelKeypoints, project_keypoints
-from .simulator import occlusion_fraction
 
 _TAG_DROPOUT = 1
 _TAG_CENTER = 2
@@ -187,10 +186,10 @@ class OracleProviderSet:
         """Locate the track in the target frame; None when lost or dropped."""
         self.seq.frame(source_frame)
         frame = self.seq.frame(target_frame)
-        ann = self.seq.annotation(target_frame, track_id)
+        ann = frame.by_track.get(track_id)
         if ann is None:
             return None
-        occ = occlusion_fraction(frame, track_id)
+        occ = frame.occlusion[track_id]
 
         n = self.noise
         p_drop = min(max(n.match_dropout_base + n.dropout_occlusion_gain * occ,

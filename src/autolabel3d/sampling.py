@@ -10,7 +10,7 @@ within a window of the labeled source.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import Annotation, InvalidArgument, Sequence
@@ -50,9 +50,6 @@ class SparseLabelSet:
             if len(frames) > self.max_per_track:
                 raise InvalidArgument(f"track {tid}: over budget")
 
-    def labeled_frames(self, track_id: int) -> tuple[int, ...]:
-        return self.selected.get(track_id, ())
-
 
 def _round_half_down(x: float) -> int:
     return math.ceil(x - 0.5)
@@ -78,15 +75,9 @@ def sample_sparse(seq: Sequence, max_per_track: int = DEFAULT_MAX_PER_TRACK,
         raise InvalidArgument("max_per_track must be >= 1")
     selected: dict[int, tuple[int, ...]] = {}
     omitted: list[tuple[int, str]] = []
-    total = 0
     kept = 0
-    per_track_anns: dict[int, list[Annotation]] = {}
-    for f in seq.frames:
-        for a in f.annotations:
-            per_track_anns.setdefault(a.track_id, []).append(a)
-            total += 1
-    for tid in sorted(per_track_anns):
-        eligible = [a.frame_index for a in per_track_anns[tid] if is_eligible(a)]
+    for tid in sorted(seq.tracks):
+        eligible = [a.frame_index for a in seq.tracks[tid] if is_eligible(a)]
         if not eligible:
             omitted.append((tid, "no-eligible-frames"))
             continue
@@ -94,6 +85,7 @@ def sample_sparse(seq: Sequence, max_per_track: int = DEFAULT_MAX_PER_TRACK,
         frames = tuple(eligible[p] for p in uniform_positions(len(eligible), k))
         selected[tid] = frames
         kept += len(frames)
+    total = sum(map(len, seq.tracks.values()))
     ratio = 1.0 - kept / total if total else 0.0
     return SparseLabelSet(sequence_id=seq.id, selected=selected,
                           omitted=tuple(omitted), max_per_track=max_per_track,
@@ -134,10 +126,8 @@ def mine_pairs(seq: Sequence, sparse: SparseLabelSet,
     for tid in sorted(sparse.selected):
         labeled = list(sparse.selected[tid])
         labeled_set = set(labeled)
-        unlabeled = [f.frame_index for f in seq.frames
-                     for a in f.annotations
-                     if a.track_id == tid and is_eligible(a)
-                     and a.frame_index not in labeled_set]
+        unlabeled = [a.frame_index for a in seq.tracks.get(tid, ())
+                     if is_eligible(a) and a.frame_index not in labeled_set]
         for s in labeled:
             pairs.append(MiningPair(tid, "self", s, None, s))
         for s in labeled:

@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (Annotation, Box2D, Box3D, CameraIntrinsics, Frame,
-                   InvalidArgument, Mask2D, Sequence, normalize_yaw)
+                   InvalidArgument, Mask2D, Sequence, normalize_yaw,
+                   occlusion_fractions)
 from .geometry import direction_at
 
 DEFAULT_INTRINSICS = dict(fx=721.54, fy=721.54, cx=609.56, cy=172.85,
@@ -276,7 +277,7 @@ def simulate(cfg: SimConfig) -> Sequence:
                                    occlusion_level=0, mask=mask))
 
         # occlusion needs every annotation in the frame
-        fractions = _occlusion_fractions(anns)
+        fractions = occlusion_fractions(anns)
         final = []
         for a in anns:
             frac = fractions[a.track_id]
@@ -285,7 +286,9 @@ def simulate(cfg: SimConfig) -> Sequence:
                 box3d=a.box3d, occlusion_level=occlusion_level(frac),
                 mask=a.mask, visibility=visibility_from_fraction(frac)))
         frame = Frame(frame_index=t, ego_pose=pose, annotations=tuple(final))
-        object.__setattr__(frame, _OCCLUSION, fractions)
+        # the fractions of the same boxes and depths: store them in the
+        # slot of the cached property rather than compute them again
+        frame.__dict__["occlusion"] = fractions
         frames.append(frame)
 
         # step kinematics
@@ -303,76 +306,6 @@ def simulate(cfg: SimConfig) -> Sequence:
             f" objects is in view in any of its {cfg.duration} frames")
     return Sequence(id=cfg.sequence_id, intrinsics=K, frames=tuple(frames),
                     frame_rate=cfg.frame_rate)
-
-
-def _rect_union_area(rects: list[tuple[float, float, float, float]]) -> float:
-    """Exact union area of axis-aligned rectangles via coordinate compression."""
-    if not rects:
-        return 0.0
-    xs = sorted({r[0] for r in rects} | {r[2] for r in rects})
-    ys = sorted({r[1] for r in rects} | {r[3] for r in rects})
-    area = 0.0
-    for i in range(len(xs) - 1):
-        cx = (xs[i] + xs[i + 1]) / 2.0
-        for j in range(len(ys) - 1):
-            cy = (ys[j] + ys[j + 1]) / 2.0
-            if any(r[0] <= cx <= r[2] and r[1] <= cy <= r[3] for r in rects):
-                area += (xs[i + 1] - xs[i]) * (ys[j + 1] - ys[j])
-    return area
-
-
-def _occlusion_fractions(anns) -> dict[int, float]:
-    """Fraction of each annotated track's 2D box covered by the boxes of
-    strictly nearer objects of other tracks (for a track annotated more than
-    once, of its first box): the union area of those boxes clipped to it,
-    over its area, capped at 1."""
-    fractions: dict[int, float] = {}
-    if not anns:
-        return fractions
-    edges = np.array([(a.box2d.left, a.box2d.top, a.box2d.right,
-                       a.box2d.bottom) for a in anns])
-    depth = np.array([a.box3d.center[2] for a in anns])
-    track = np.array([a.track_id for a in anns])
-    # row i: every box clipped to box i
-    lo = np.maximum(edges[:, None, :2], edges[None, :, :2])
-    hi = np.minimum(edges[:, None, 2:], edges[None, :, 2:])
-    covers = ((track[:, None] != track[None, :])
-              & (depth[None, :] < depth[:, None])
-              & (hi > lo).all(axis=2))
-    for i, a in enumerate(anns):
-        if a.track_id in fractions:
-            continue
-        js = np.flatnonzero(covers[i])
-        if not len(js):
-            fractions[a.track_id] = 0.0
-            continue
-        rects = np.concatenate([lo[i, js], hi[i, js]], axis=1).tolist()
-        tb = a.box2d
-        fractions[a.track_id] = min(_rect_union_area(rects) / (tb.w * tb.h),
-                                    1.0)
-    return fractions
-
-
-# attribute of a Frame holding its fractions; not a dataclass field, so
-# Frame equality and hashing ignore it
-_OCCLUSION = "_occlusion_fractions"
-
-
-def occlusion_fraction(frame: Frame, track_id: int) -> float:
-    """Fraction of the object's 2D box covered by strictly nearer objects.
-
-    A frame's fractions are computed on its first query (``simulate`` fills
-    them in as it builds the frame) and kept on the frame, so every provider
-    and stage reading one in-memory sequence shares them.
-    """
-    fractions = getattr(frame, _OCCLUSION, None)
-    if fractions is None:
-        fractions = _occlusion_fractions(frame.annotations)
-        object.__setattr__(frame, _OCCLUSION, fractions)
-    if track_id not in fractions:
-        raise KeyError(
-            f"track {track_id} not annotated in frame {frame.frame_index}")
-    return fractions[track_id]
 
 
 def occlusion_level(fraction: float) -> int:

@@ -171,6 +171,28 @@ class TestE2E:
             assert not (out / "sequence.txt").exists(), spec
 
 
+def repeat_first_ann(lines):
+    """Repeat the first ``ann`` record; return its line and the error."""
+    i = next(i for i, line in enumerate(lines) if line.startswith("ann "))
+    lines.insert(i + 1, lines[i])
+    return i + 2, f"frame 0 annotates track {lines[i].split()[1]} twice"
+
+
+def repeat_first_frame(lines):
+    """Give the second ``frame`` record the first one's index."""
+    first, second = [i for i, line in enumerate(lines)
+                     if line.startswith("frame ")][:2]
+    lines[second] = lines[first]
+    return second + 1, "frame_index must be strictly increasing"
+
+
+def repeat_track_0(lines):
+    """Follow the ``track 0`` record with another one."""
+    i = next(i for i, line in enumerate(lines) if line.startswith("track 0 "))
+    lines.insert(i + 1, "track 0 9")
+    return i + 2, "repeated track 0"
+
+
 class TestStepwise:
     def test_stages_compose(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -209,6 +231,27 @@ class TestStepwise:
         err = capsys.readouterr().err
         assert f"error: {path}: line 6: " in err and "x13" in err, err
         assert not (out / "pseudolabels.txt").exists()
+
+    @pytest.mark.parametrize("name, stage, edit", [
+        ("sequence.txt", "sample", repeat_first_ann),
+        ("sequence.txt", "sample", repeat_first_frame),
+        ("sparse_labels.txt", "pseudolabel", repeat_track_0),
+    ], ids=["ann-twice-in-a-frame", "frame-not-above-the-last",
+            "track-twice"])
+    def test_repeated_record_names_file_and_line(self, tmp_path, capsys,
+                                                 name, stage, edit):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        for cmd in ("simulate", "sample"):
+            assert run("--config", cfg, "--out", str(out), cmd) == 0, cmd
+        path = out / name
+        lines = path.read_text().splitlines()
+        bad_line, message = edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("--config", cfg, "--out", str(out), stage) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: line {bad_line}: {message}" in err, err
 
     def test_off_sequence_prediction_fails_cleanly(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

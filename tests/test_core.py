@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from autolabel3d.core import (Box2D, Box3D, InvalidArgument, Mask2D,
-                              iou_2d, mask_roundtrip, normalize_yaw,
-                              rle_decode, rle_encode)
+from autolabel3d.core import (Annotation, Box2D, Box3D, CameraIntrinsics,
+                              Frame, InvalidArgument, Mask2D, Sequence,
+                              _rect_union_area, iou_2d, mask_roundtrip,
+                              normalize_yaw, rle_decode, rle_encode)
+from autolabel3d.simulator import SimConfig, simulate
 
 
 class TestNormalizeYaw:
@@ -113,3 +115,88 @@ class TestBox3d:
         b = Box3D(center=(0, 0, 10), dims=(4, 2, 1.5), yaw=3 * math.pi,
                   direction="away")
         assert b.yaw == pytest.approx(math.pi)
+
+
+EYE = np.hstack([np.eye(3), np.zeros((3, 1))])
+
+
+def ann(frame_index, track_id, box2d=Box2D(50, 50, 20, 20), z=10.0):
+    return Annotation(frame_index=frame_index, track_id=track_id, box2d=box2d,
+                      box3d=Box3D(center=(0, 0, z), dims=(4, 1.8, 1.5), yaw=0.0,
+                                  direction="towards"),
+                      occlusion_level=0)
+
+
+@st.composite
+def sequences(draw):
+    """Frames at increasing indices with gaps, each annotating a few tracks
+    in any order; integer boxes and depths, so boxes overlap and depths tie."""
+    frames = []
+    for fi in draw(st.lists(st.integers(0, 12), unique=True, max_size=6)
+                   .map(sorted)):
+        tracks = draw(st.lists(st.integers(0, 7), unique=True, max_size=5))
+        frames.append(Frame(fi, EYE, [
+            ann(fi, tid, Box2D(*draw(st.tuples(
+                st.integers(0, 100), st.integers(0, 100),
+                st.integers(1, 60), st.integers(1, 60)))),
+                z=draw(st.integers(1, 5)))
+            for tid in tracks]))
+    return Sequence(id="views", intrinsics=CameraIntrinsics(
+        700.0, 700.0, 620.0, 187.0, 1242, 375), frames=frames, frame_rate=10.0)
+
+
+def scan_occlusion(frame):
+    """Each track's occluded share, one pair of boxes at a time."""
+    out = {}
+    for a in frame.annotations:
+        b = a.box2d
+        rects = []
+        for o in frame.annotations:
+            if o.box3d.center[2] < a.box3d.center[2]:
+                c = o.box2d
+                lo = (max(b.left, c.left), max(b.top, c.top))
+                hi = (min(b.right, c.right), min(b.bottom, c.bottom))
+                if hi[0] > lo[0] and hi[1] > lo[1]:
+                    rects.append((*lo, *hi))
+        out[a.track_id] = (min(_rect_union_area(rects) / (b.w * b.h), 1.0)
+                           if rects else 0.0)
+    return out
+
+
+def assert_views_match_a_scan(seq):
+    anns = [a for f in seq.frames for a in f.annotations]
+    first_seen = list(dict.fromkeys(a.track_id for a in anns))
+    assert seq.track_ids() == first_seen
+    assert list(seq.tracks) == first_seen
+    for tid in first_seen:
+        assert seq.tracks[tid] == tuple(a for a in anns if a.track_id == tid)
+    for fi in [f.frame_index for f in seq.frames] + [-1, 13, 10 ** 6]:
+        for tid in first_seen + [99]:
+            scan = [a for f in seq.frames if f.frame_index == fi
+                    for a in f.annotations if a.track_id == tid]
+            assert seq.annotation(fi, tid) is (scan[0] if scan else None)
+    for f in seq.frames:
+        assert list(f.by_track) == [a.track_id for a in f.annotations]
+        for a in f.annotations:
+            assert f.by_track[a.track_id] is a
+        assert f.occlusion == scan_occlusion(f)
+
+
+class TestSequenceViews:
+    @settings(max_examples=150, deadline=None)
+    @given(sequences())
+    def test_views_match_a_scan_of_the_frames(self, seq):
+        assert_views_match_a_scan(seq)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_views_match_a_scan_of_a_simulated_scene(self, seed):
+        # a simulated frame holds the fractions simulate computed
+        assert_views_match_a_scan(simulate(SimConfig(
+            seed=seed, duration=6, object_count=10, spawn_z=(8.0, 25.0))))
+
+    def test_a_frame_annotating_a_track_twice_is_rejected(self):
+        a = ann(3, 7)
+        with pytest.raises(InvalidArgument, match="frame 3 annotates track 7 "
+                                                  "twice"):
+            Frame(3, EYE, [ann(3, 1), a, ann(3, 2), a])

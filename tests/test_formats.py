@@ -260,10 +260,23 @@ class TestOtherDocuments:
         ("metric_report", ["# autolabel3d metricreport v1", "mota x"], 2),
         ("sequence", SEQ + [FRAME, ANN.replace("ann 0", "ann -3")], 5),
         ("sequence", SEQ + [FRAME.replace("frame 0", "frame -1")], 4),
+        ("sequence", SEQ + [FRAME, ANN, ANN], 6),
+        ("sequence", SEQ + [FRAME.replace("frame 0", "frame 5"), FRAME], 5),
+        ("sequence", SEQ + [FRAME, FRAME], 5),
+        ("sequence", SEQ + [SEQ[1]], 4),
+        ("sequence", SEQ + [FRAME, SEQ[2]], 5),
+        ("sparse_labels", SPARSE + ["track 0 1 5", "track 0 9"], 7),
+        ("sparse_labels", SPARSE + ["seed 1"], 6),
+        ("metric_report", ["# autolabel3d metricreport v1", "mota 1",
+                           "mota 0.5"], 3),
     ], ids=["short-sequence", "short-ann", "ann-before-frame",
             "non-integer-track", "bare-seed", "unknown-tag", "short-pair",
             "plmask-bad-token", "plmask-bad-rle", "plmask-before-pl",
-            "non-numeric-mota", "negative-track", "negative-frame"])
+            "non-numeric-mota", "negative-track", "negative-frame",
+            "track-twice-in-a-frame", "frame-below-the-last",
+            "frame-at-the-last", "repeated-sequence-record",
+            "repeated-intrinsics-record", "repeated-track-record",
+            "repeated-seed-record", "repeated-mota-record"])
     def test_malformed_record_names_the_line(self, parse, lines, bad_line):
         with pytest.raises(ParseError, match=rf"^line {bad_line}: "):
             getattr(formats, f"parse_{parse}")("\n".join(lines) + "\n")

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from autolabel3d import simulator
+from autolabel3d import core
 from autolabel3d.core import Box2D, InvalidArgument
 from autolabel3d.formats import parse_sequence, serialize_sequence
 from autolabel3d.geometry import project_keypoints
 from autolabel3d.providers import (NoiseConfig, OracleProviderSet,
                                    gaussian_radius, heatmap_shape,
                                    splat_boxes)
-from autolabel3d.simulator import SimConfig, occlusion_fraction, simulate
+from autolabel3d.simulator import SimConfig, simulate
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +72,7 @@ class TestMatch:
         fi = first_presence(seq, 0)
         res = prov.match(fi, 0, fi)
         ann = seq.annotation(fi, 0)
-        occ = occlusion_fraction(seq.frame(fi), 0)
+        occ = seq.frame(fi).occlusion[0]
         want = 0.9 * math.exp(-ann.box3d.center[2] / 50.0) * (1 - 0.5 * occ)
         assert res.confidence == pytest.approx(want, abs=1e-12)
 
@@ -117,9 +117,9 @@ class TestOcclusionMemo:
         # a parsed sequence starts with no fractions on its frames
         seq = parse_sequence(serialize_sequence(
             simulate(SimConfig(seed=2, duration=8, object_count=10))))
-        real = simulator._occlusion_fractions
+        real = core.occlusion_fractions
         computed = []
-        monkeypatch.setattr(simulator, "_occlusion_fractions",
+        monkeypatch.setattr(core, "occlusion_fractions",
                             lambda anns: computed.append(anns) or real(anns))
         queries = [(f.frame_index, a.track_id)
                    for f in seq.frames for a in f.annotations]
@@ -131,13 +131,27 @@ class TestOcclusionMemo:
         assert len(computed) == len(seq.frames)
         assert first == second
 
+    def test_simulated_sequence_queries_compute_no_fractions(self,
+                                                            monkeypatch):
+        # simulate stores the fractions it computed on each frame
+        seq = simulate(SimConfig(seed=2, duration=8, object_count=10))
+        computed = []
+        monkeypatch.setattr(core, "occlusion_fractions",
+                            lambda anns: computed.append(anns))
+        prov = OracleProviderSet(seq, self.NOISE)
+        for f in seq.frames:
+            for a in f.annotations:
+                prov.match(f.frame_index, a.track_id, f.frame_index)
+        assert computed == []
+        assert any(any(f.occlusion.values()) for f in seq.frames)
+
     def test_simulated_fractions_match_a_parsed_copy(self):
         simulated = simulate(SimConfig(seed=2, duration=8, object_count=10))
         parsed = parse_sequence(serialize_sequence(simulated))
-        fractions = [occlusion_fraction(f, a.track_id)
+        fractions = [f.occlusion[a.track_id]
                      for f in simulated.frames for a in f.annotations]
         assert any(fractions)
-        assert fractions == [occlusion_fraction(f, a.track_id)
+        assert fractions == [f.occlusion[a.track_id]
                              for f in parsed.frames for a in f.annotations]
 
 

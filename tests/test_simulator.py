@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from autolabel3d.core import Annotation, Box2D, Box3D, InvalidArgument
+from autolabel3d.core import (Annotation, Box2D, Box3D, InvalidArgument,
+                              _rect_union_area, occlusion_fractions)
 from autolabel3d.formats import serialize_sequence
 from autolabel3d.geometry import heading_vector
 from autolabel3d.simulator import (SimConfig, _convex_hull, _hull_mask,
-                                   _occlusion_fractions, _rect_union_area,
-                                   occlusion_fraction,
                                    occlusion_level, simulate,
                                    visibility_from_fraction)
 
@@ -141,25 +140,25 @@ class TestOcclusionFraction:
     def test_no_overlap(self):
         target = ann(0, Box2D(50, 50, 20, 20), z=20)
         other = ann(1, Box2D(200, 50, 20, 20), z=10)
-        assert _occlusion_fractions([target, other])[0] == 0.0
+        assert occlusion_fractions([target, other])[0] == 0.0
 
     def test_half_covered(self):
         target = ann(0, Box2D(50, 50, 20, 20), z=20)  # spans [40, 60]
         # nearer box spanning [30, 50]: covers exactly the left half
         other = ann(1, Box2D(40, 50, 20, 20), z=10)
-        assert _occlusion_fractions([target, other])[0] == pytest.approx(0.5)
+        assert occlusion_fractions([target, other])[0] == pytest.approx(0.5)
 
     def test_farther_box_does_not_occlude(self):
         target = ann(0, Box2D(50, 50, 20, 20), z=10)
         other = ann(1, Box2D(50, 50, 20, 20), z=20)
-        assert _occlusion_fractions([target, other])[0] == 0.0
+        assert occlusion_fractions([target, other])[0] == 0.0
 
     def test_union_not_double_counted(self):
         target = ann(0, Box2D(50, 50, 40, 40), z=30)  # spans [30, 70]^2
         # two identical nearer boxes covering the same corner quarter
         a = ann(1, Box2D(40, 40, 20, 20), z=10)
         b = ann(2, Box2D(40, 40, 20, 20), z=15)
-        frac = _occlusion_fractions([target, a, b])[0]
+        frac = occlusion_fractions([target, a, b])[0]
         assert frac == pytest.approx(400.0 / 1600.0)
 
     def test_levels_table(self):
@@ -277,11 +276,11 @@ class TestSimulate:
         seq = simulate(SimConfig(seed=2, duration=5, object_count=6))
         frame = seq.frames[0]
         for a in frame.annotations:
-            frac = occlusion_fraction(frame, a.track_id)
+            frac = frame.occlusion[a.track_id]
             assert 0.0 <= frac <= 1.0
             assert occlusion_level(frac) == a.occlusion_level
         with pytest.raises(KeyError):
-            occlusion_fraction(frame, 999)
+            frame.occlusion[999]
 
     def test_masks_inside_box(self):
         seq = simulate(SimConfig(seed=4, duration=4, object_count=4))

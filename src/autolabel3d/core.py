@@ -1,10 +1,11 @@
 """Shared domain types for the 3D track auto-labeling engine.
 
 All types are immutable value objects: construction validates invariants and
-instances are safe to share across threads. The lookups derived from a frame
-or a sequence (``Frame.by_track``, ``Frame.occlusion``, ``Sequence.frame_map``,
-``Sequence.tracks``) are built once, on first read, and shared by every
-reader, which must not change them.
+instances are safe to share across threads. A mask is its run lengths, the
+form the artifacts write and read; its pixels are decoded only on request.
+The lookups derived from a frame or a sequence (``Frame.by_track``,
+``Frame.occlusion``, ``Sequence.frame_map``, ``Sequence.tracks``) are built
+once, on first read, and shared by every reader, which must not change them.
 """
 
 from __future__ import annotations
@@ -158,14 +159,9 @@ def occlusion_fractions(annotations) -> dict[int, float]:
 def rle_encode(bitmap: np.ndarray) -> list[int]:
     """Row-major alternating (skip, run) counts; always starts with a skip."""
     flat = np.asarray(bitmap, dtype=bool).ravel()
-    if flat.size == 0:
-        return [0]
-    changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    bounds = np.concatenate(([0], changes, [flat.size]))
-    counts = np.diff(bounds).tolist()
-    if flat[0]:
-        counts.insert(0, 0)  # encoding starts by counting zeros
-    return counts
+    # where a run of either value starts, counting from a run of false
+    starts = np.flatnonzero(np.diff(flat, prepend=False))
+    return np.diff(np.concatenate(([0], starts, [flat.size]))).tolist()
 
 
 def rle_decode(counts: list[int], shape: tuple[int, int]) -> np.ndarray:
@@ -175,62 +171,41 @@ def rle_decode(counts: list[int], shape: tuple[int, int]) -> np.ndarray:
     if sum(counts) != total:
         raise DecodeError(
             f"rle counts sum to {sum(counts)}, expected {total} for shape {shape}")
-    flat = np.zeros(total, dtype=bool)
-    pos = 0
-    value = False
-    for c in counts:
-        if value:
-            flat[pos:pos + c] = True
-        pos += c
-        value = not value
-    return flat.reshape(shape)
+    # the counts alternate between false and true pixels, false first
+    return np.repeat(np.arange(len(counts)) % 2 == 1, counts).reshape(shape)
 
 
 @dataclass(frozen=True)
 class Mask2D:
-    """Binary mask stored as a bitmap anchored at an integer pixel origin."""
+    """Binary mask of a pixel window at an integer origin, stored as the
+    window's row-major run lengths as ``rle_encode`` writes them (COCO's)."""
 
-    origin: tuple[int, int]  # (x0, y0) pixel offset of bitmap[0, 0]
-    bitmap: np.ndarray       # bool array of shape (h, w)
+    origin: tuple[int, int]  # (x0, y0) pixel offset of the window's (0, 0)
+    shape: tuple[int, int]   # (rows, cols)
+    counts: tuple[int, ...]  # canonical: a skip >= 0, then counts > 0
 
     def __post_init__(self):
-        # a read-only copy: no alias of the caller's array can change the
-        # mask, so its hash and its cached counts text stay valid
-        bm = np.array(self.bitmap, dtype=bool)
-        if bm.ndim != 2:
-            raise InvalidArgument("mask bitmap must be 2D")
-        object.__setattr__(self, "bitmap", bm)
-        bm.setflags(write=False)
-        if self.origin[0] < 0 or self.origin[1] < 0:
-            raise InvalidArgument("mask origin must be nonnegative")
-
-    @property
-    def rle(self) -> list[int]:
-        return rle_encode(self.bitmap)
+        c, (rows, cols) = self.counts, self.shape
+        if min(self.origin) < 0 or rows < 0 or cols < 0:
+            raise InvalidArgument("mask origin and shape must be nonnegative")
+        if (not c or c[0] < 0 or min(c[1:], default=1) <= 0
+                or sum(c) != rows * cols):
+            raise InvalidArgument("mask counts must be a skip >= 0 and then "
+                                  f"counts > 0 that sum to {rows * cols}")
 
     @cached_property
     def rle_text(self) -> str:
-        """The RLE counts space-separated, encoded once per mask."""
-        return " ".join(str(c) for c in self.rle)
+        """The counts space-separated, formatted once per mask."""
+        return " ".join(map(str, self.counts))
+
+    @property
+    def bitmap(self) -> np.ndarray:
+        """The window's pixels, decoded on each read."""
+        return rle_decode(self.counts, self.shape)
 
     @classmethod
-    def from_rle(cls, origin, counts, shape) -> "Mask2D":
-        return cls(origin=tuple(origin), bitmap=rle_decode(counts, shape))
-
-    def __eq__(self, other):
-        if not isinstance(other, Mask2D):
-            return NotImplemented
-        return (self.origin == other.origin
-                and self.bitmap.shape == other.bitmap.shape
-                and bool(np.array_equal(self.bitmap, other.bitmap)))
-
-    def __hash__(self):
-        return hash((self.origin, self.bitmap.shape, self.bitmap.tobytes()))
-
-
-def mask_roundtrip(m: Mask2D) -> Mask2D:
-    """RLE-encode then decode; result is pixel-identical to the input."""
-    return Mask2D.from_rle(m.origin, m.rle, m.bitmap.shape)
+    def from_bitmap(cls, origin, bitmap) -> "Mask2D":
+        return cls(tuple(origin), np.shape(bitmap), tuple(rle_encode(bitmap)))
 
 
 @dataclass(frozen=True)
@@ -350,8 +325,9 @@ class Sequence:
         indices = [f.frame_index for f in self.frames]
         if any(b <= a for a, b in zip(indices, indices[1:])):
             raise InvalidArgument("frame_index must be strictly increasing")
-        if self.frame_rate <= 0:
-            raise InvalidArgument("frame_rate must be positive")
+        if not 0 < self.frame_rate < math.inf:
+            raise InvalidArgument("frame_rate must be positive and finite, "
+                                  f"got {self.frame_rate!r}")
 
     def frame(self, frame_index: int) -> Frame:
         f = self.frame_map.get(frame_index)

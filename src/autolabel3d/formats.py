@@ -4,8 +4,8 @@ Internal documents are line-delimited whitespace-separated text with a
 versioned header line, so golden files diff cleanly and round-trip
 bit-exactly. Floats are written with 17 significant digits (lossless for
 doubles). A weight-map row is formatted once per distinct row of a document
-and a mask's RLE counts once per ``Mask2D`` object; the bytes are those of
-formatting every cell and record afresh.
+and the RLE counts a ``Mask2D`` stores once per mask; the bytes are those of
+formatting every cell and record afresh. No mask pixel is read or written.
 """
 
 from __future__ import annotations
@@ -142,20 +142,22 @@ class CalibResult:
 
 
 def parse_kitti_calib(text: str, width: int = 1242, height: int = 375) -> CalibResult:
-    """Extract pinhole intrinsics from the P2 projection matrix."""
-    for line in text.splitlines():
+    """Extract pinhole intrinsics from the P2 projection matrix; a bad or
+    refused P2 line raises a ``ParseError`` naming it."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip().startswith("P2:"):
             continue
         values = line.split(":", 1)[1].split()
-        if len(values) != 12:
-            raise ParseError(f"P2 line must carry 12 values, got {len(values)}")
         try:
-            p = np.array([float(v) for v in values]).reshape(3, 4)
-        except ValueError:
-            raise ParseError("non-numeric value in P2 line") from None
-        intr = CameraIntrinsics(fx=p[0, 0], fy=p[1, 1], cx=p[0, 2], cy=p[1, 2],
-                                width=width, height=height)
-        return CalibResult(intr, translation_ignored=bool(np.any(p[:, 3] != 0)))
+            if len(values) != 12:
+                raise ValueError(f"P2 line must carry 12 values, got "
+                                 f"{len(values)}")
+            p = [float(v) for v in values]  # row-major 3 x 4
+            intr = CameraIntrinsics(fx=p[0], fy=p[5], cx=p[2], cy=p[6],
+                                    width=width, height=height)
+        except ValueError as e:  # InvalidArgument too
+            raise ParseError(f"line {lineno}: {e}") from None
+        return CalibResult(intr, translation_ignored=any(p[3::4]))
     raise ParseError("calibration file has no P2 line")
 
 
@@ -237,7 +239,7 @@ def _records(text: str, kind: str, headers, on_record) -> None:
     ``on_record(tag, fields)`` for each non-blank line. A second record of
     a tag in ``headers`` raises a ``ParseError`` naming its line, and so
     does an ``IndexError`` or ``ValueError`` from the handler (a short
-    record, a bad number, a bad RLE, a record out of place)."""
+    record, a bad number, bad mask counts, a record out of place)."""
     seen: set[str] = set()
     for lineno, line in enumerate(_check_header(text, kind), start=2):
         tokens = line.split()
@@ -279,7 +281,7 @@ def _parse_boxes(fields: list[str]) -> tuple[Box2D, Box3D]:
 
 
 def _mask_line(tag: str, track_id: int, m: Mask2D) -> str:
-    rows, cols = m.bitmap.shape
+    rows, cols = m.shape
     return (f"{tag} {track_id} {m.origin[0]} {m.origin[1]} {rows} {cols} "
             f"{m.rle_text}")
 
@@ -290,8 +292,8 @@ def _with_mask(items: list, fields: list[str]) -> None:
     last = _last(items, "ann/pl")
     if last.track_id != track_id:
         raise ParseError("mask track mismatch")
-    items[-1] = replace(last, mask=Mask2D.from_rle((x0, y0), counts,
-                                                   (rows, cols)))
+    items[-1] = replace(last, mask=Mask2D((x0, y0), (rows, cols),
+                                          tuple(counts)))
 
 
 def serialize_sequence(seq: Sequence) -> str:
@@ -317,6 +319,9 @@ def parse_sequence(text: str) -> Sequence:
     def on_record(tag, f):
         if tag == "sequence":
             head["id"], head["frame_rate"] = f[0], float(f[1])
+            if not 0 < head["frame_rate"] < math.inf:
+                raise ParseError("frame_rate must be positive and finite, "
+                                 f"got {f[1]}")
         elif tag == "intrinsics":
             head["intrinsics"] = CameraIntrinsics(
                 fx=float(f[0]), fy=float(f[1]), cx=float(f[2]), cy=float(f[3]),
@@ -368,7 +373,7 @@ def parse_sparse_labels(text: str):
 
     head: dict = {}
     selected: dict[int, tuple[int, ...]] = {}
-    omitted: list[tuple[int, str]] = []
+    omitted: dict[int, str] = {}
 
     def on_record(tag, f):
         if tag == "sequence":
@@ -377,13 +382,14 @@ def parse_sparse_labels(text: str):
             head[tag] = int(f[0])
         elif tag == "reduction_ratio":
             head[tag] = float(f[0])
-        elif tag == "track":
+        elif tag in ("track", "omitted"):
             track_id = int(f[0])
-            if track_id in selected:
+            if track_id in selected or track_id in omitted:
                 raise ParseError(f"repeated track {track_id}")
-            selected[track_id] = tuple(int(v) for v in f[1:])
-        elif tag == "omitted":
-            omitted.append((int(f[0]), f[1]))
+            if tag == "track":
+                selected[track_id] = tuple(int(v) for v in f[1:])
+            else:
+                omitted[track_id] = f[1]
         else:
             raise ParseError(f"unknown record {tag!r}")
 
@@ -392,7 +398,8 @@ def parse_sparse_labels(text: str):
              on_record)
     if len(head) != 4:
         raise ParseError("sparse labels document missing header records")
-    return SparseLabelSet(selected=selected, omitted=tuple(omitted), **head)
+    return SparseLabelSet(selected=selected, omitted=tuple(omitted.items()),
+                          **head)
 
 
 def serialize_mining_pairs(pairs) -> str:
@@ -436,9 +443,15 @@ def serialize_pseudolabels(labels) -> str:
 
 def parse_pseudolabels(text: str) -> list[Pseudolabel]:
     labels: list[Pseudolabel] = []
+    seen: set[tuple[int, int]] = set()
 
     def on_record(tag, f):
         if tag == "pl":
+            key = (int(f[0]), int(f[1]))
+            if key in seen:
+                raise ParseError(f"repeated prediction for track {key[1]} "
+                                 f"at frame {key[0]}")
+            seen.add(key)
             box2d, box3d = _parse_boxes(f[2:14])
             labels.append(Pseudolabel(
                 frame_index=int(f[0]), track_id=int(f[1]), box2d=box2d,

@@ -21,7 +21,7 @@ from .core import (BACKWARD, FORWARD, Box3D, Heatmap, InvalidArgument,
 from .geometry import (BehindCameraError, DegenerateKeypointsError,
                        lift_keypoints, yaw_from_keypoints)
 from .providers import splat_boxes
-from .sampling import SparseLabelSet
+from .sampling import SparseLabelSet, labeled_annotation
 
 STATUS_ACTIVE = "active"
 STATUS_TERMINATED = "terminated"
@@ -71,20 +71,6 @@ class TrackHypothesis:
     status: str = STATUS_ACTIVE
 
 
-def _seed_pseudolabel(seq: Sequence, track_id: int, frame: int,
-                      direction: str) -> Pseudolabel:
-    ann = seq.annotation(frame, track_id)
-    if ann is None:
-        raise InvalidArgument(f"sparse label of track {track_id} at frame "
-                              f"{frame}: sequence {seq.id!r} has no such "
-                              "annotation")
-    return Pseudolabel(frame_index=frame, track_id=track_id, box2d=ann.box2d,
-                       box3d=ann.box3d, confidence=1.0,
-                       provenance=Provenance(direction=direction,
-                                             source_frame_index=frame),
-                       mask=ann.mask)
-
-
 def propagate(seq: Sequence, sparse: SparseLabelSet, providers,
               cfg: PipelineConfig, direction: str) -> list[TrackHypothesis]:
     """Propagate every sparse seed of every track in one direction."""
@@ -99,8 +85,13 @@ def propagate(seq: Sequence, sparse: SparseLabelSet, providers,
         for seed in seeds:
             hyp = TrackHypothesis(track_id=track_id, direction=direction,
                                   seed_frame=seed, source_frame=seed)
-            hyp.pseudolabels.append(
-                _seed_pseudolabel(seq, track_id, seed, direction))
+            ann = labeled_annotation(seq, track_id, seed)
+            hyp.pseudolabels.append(Pseudolabel(
+                frame_index=seed, track_id=track_id, box2d=ann.box2d,
+                box3d=ann.box3d, confidence=1.0,
+                provenance=Provenance(direction=direction,
+                                      source_frame_index=seed),
+                mask=ann.mask))
 
             if direction == FORWARD:
                 targets = [f for f in all_frames if f > seed]

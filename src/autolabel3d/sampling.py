@@ -44,11 +44,26 @@ class SparseLabelSet:
     reduction_ratio: float
 
     def __post_init__(self):
+        both = self.selected.keys() & {t for t, _ in self.omitted}
+        if both:
+            raise InvalidArgument(f"track {min(both)} is both selected and "
+                                  "omitted")
         for tid, frames in self.selected.items():
             if any(b <= a for a, b in zip(frames, frames[1:])):
                 raise InvalidArgument(f"track {tid}: frames not increasing")
             if len(frames) > self.max_per_track:
                 raise InvalidArgument(f"track {tid}: over budget")
+
+
+def labeled_annotation(seq: Sequence, track_id: int,
+                       frame: int) -> Annotation:
+    """The annotation a sparse label names, which the sequence must hold."""
+    ann = seq.annotation(frame, track_id)
+    if ann is None:
+        raise InvalidArgument(f"sparse label of track {track_id} at frame "
+                              f"{frame}: sequence {seq.id!r} has no such "
+                              "annotation")
+    return ann
 
 
 def _round_half_down(x: float) -> int:
@@ -124,27 +139,19 @@ def mine_pairs(seq: Sequence, sparse: SparseLabelSet,
         raise InvalidArgument("window must be >= 0")
     pairs: list[MiningPair] = []
     for tid in sorted(sparse.selected):
-        labeled = list(sparse.selected[tid])
-        labeled_set = set(labeled)
+        labeled = sparse.selected[tid]
         unlabeled = [a.frame_index for a in seq.tracks.get(tid, ())
-                     if is_eligible(a) and a.frame_index not in labeled_set]
+                     if is_eligible(a) and a.frame_index not in labeled]
         for s in labeled:
+            labeled_annotation(seq, tid, s)  # the sequence must hold it
+            others = [t for t in labeled if t != s]
             pairs.append(MiningPair(tid, "self", s, None, s))
-        for s in labeled:
-            for t in labeled:
-                if s != t:
-                    pairs.append(MiningPair(tid, "support", s, None, t))
-        for s in labeled:
+            pairs += [MiningPair(tid, "support", s, None, t) for t in others]
             for u in unlabeled:
                 if abs(u - s) <= window:
                     pairs.append(MiningPair(tid, "cycle", s, u, s))
-        for s in labeled:
-            for u in unlabeled:
-                if abs(u - s) > window:
-                    continue
-                for t in labeled:
-                    if t != s:
-                        pairs.append(MiningPair(tid, "step_support", s, u, t))
+                    pairs += [MiningPair(tid, "step_support", s, u, t)
+                              for t in others]
     key = {s: i for i, s in enumerate(STRATEGIES)}
     pairs.sort(key=lambda p: (p.track_id, key[p.strategy], p.source_frame,
                               -1 if p.waypoint_frame is None else p.waypoint_frame,

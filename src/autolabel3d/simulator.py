@@ -13,7 +13,7 @@ means driving along +Z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -153,6 +153,14 @@ def _hull_mask(corners_uv: np.ndarray, left: int, top: int,
     column when ``by-ay >= 0`` and the edge keeps the prefix of the row where
     ``B <= A``, and it is non-increasing otherwise and the edge keeps a
     suffix.
+
+    The counts follow with no bitmap. Row ``r``'s span is the row-major
+    run ``[r*w + lo, r*w + hi)``, so the runs' bounds increase, except that
+    a run ending at column ``w`` ends where the next row's run starting at
+    column 0 starts. Dropping that bound twice joins the two runs. From 0
+    through the rest of the bounds, the differences are then a first skip
+    >= 0 and counts > 0, a last skip is added only when > 0, and the counts
+    are ``rle_encode`` of the full-grid bitmap.
     """
     hull = _convex_hull(corners_uv)
     if len(hull) < 3:
@@ -170,11 +178,17 @@ def _hull_mask(corners_uv: np.ndarray, left: int, top: int,
         else:
             np.maximum(lo, w - cols[k, ::-1].searchsorted(rows[k], "right"),
                        out=lo)
-    span = np.arange(w)
-    inside = (span >= lo[:, None]) & (span < hi[:, None])
-    if not inside.any():
+    r = np.flatnonzero(hi > lo)
+    if not len(r):
         return None
-    return Mask2D(origin=(left, top), bitmap=inside)
+    bounds = np.zeros(2 * len(r) + 1, dtype=np.intp)
+    bounds[1::2], bounds[2::2] = r * w + lo[r], r * w + hi[r]
+    keep = np.ones(len(bounds), dtype=bool)  # drop each end a start shares
+    keep[2:-1:2] = keep[3::2] = bounds[2:-1:2] != bounds[3::2]
+    counts = np.diff(bounds[keep]).tolist()
+    if bounds[-1] < w * h:
+        counts.append(w * h - int(bounds[-1]))
+    return Mask2D(origin=(left, top), shape=(h, w), counts=tuple(counts))
 
 
 def _spawn_objects(cfg: SimConfig, rng: np.random.Generator) -> list[_ObjectState]:
@@ -278,14 +292,11 @@ def simulate(cfg: SimConfig) -> Sequence:
 
         # occlusion needs every annotation in the frame
         fractions = occlusion_fractions(anns)
-        final = []
-        for a in anns:
-            frac = fractions[a.track_id]
-            final.append(Annotation(
-                frame_index=a.frame_index, track_id=a.track_id, box2d=a.box2d,
-                box3d=a.box3d, occlusion_level=occlusion_level(frac),
-                mask=a.mask, visibility=visibility_from_fraction(frac)))
-        frame = Frame(frame_index=t, ego_pose=pose, annotations=tuple(final))
+        final = tuple(replace(
+            a, occlusion_level=occlusion_level(fractions[a.track_id]),
+            visibility=visibility_from_fraction(fractions[a.track_id]))
+            for a in anns)
+        frame = Frame(frame_index=t, ego_pose=pose, annotations=final)
         # the fractions of the same boxes and depths: store them in the
         # slot of the cached property rather than compute them again
         frame.__dict__["occlusion"] = fractions

@@ -193,6 +193,28 @@ def repeat_track_0(lines):
     return i + 2, "repeated track 0"
 
 
+def omit_track_0(lines):
+    """List the selected track 0 as omitted too."""
+    lines.append("omitted 0 no-eligible-frames")
+    return len(lines), "repeated track 0"
+
+
+def repeat_first_pl(lines):
+    """Repeat the first ``pl`` record, of track 0 at frame 0, at the end."""
+    assert lines[1].startswith("pl 0 0 ")
+    lines.append(lines[1])
+    return len(lines), "repeated prediction for track 0 at frame 0"
+
+
+def set_frame_rate(rate):
+    def edit(lines):
+        """Give the ``sequence`` record, on line 2, another frame rate."""
+        assert lines[1] == "sequence sim 10"
+        lines[1] = f"sequence sim {rate}"
+        return 2, f"frame_rate must be positive and finite, got {rate}"
+    return edit
+
+
 class TestStepwise:
     def test_stages_compose(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -236,13 +258,21 @@ class TestStepwise:
         ("sequence.txt", "sample", repeat_first_ann),
         ("sequence.txt", "sample", repeat_first_frame),
         ("sparse_labels.txt", "pseudolabel", repeat_track_0),
+        ("sparse_labels.txt", "pseudolabel", omit_track_0),
+        ("pseudolabels.txt", "fn-weights", repeat_first_pl),
+        ("pseudolabels.txt", "evaluate", repeat_first_pl),
+        ("sequence.txt", "pseudolabel", set_frame_rate("0")),
+        ("sequence.txt", "pseudolabel", set_frame_rate("nan")),
+        ("sequence.txt", "pseudolabel", set_frame_rate("inf")),
     ], ids=["ann-twice-in-a-frame", "frame-not-above-the-last",
-            "track-twice"])
+            "track-twice", "track-selected-and-omitted",
+            "pl-twice-fn-weights", "pl-twice-evaluate", "zero-frame-rate",
+            "nan-frame-rate", "inf-frame-rate"])
     def test_repeated_record_names_file_and_line(self, tmp_path, capsys,
                                                  name, stage, edit):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
-        for cmd in ("simulate", "sample"):
+        for cmd in ("simulate", "sample", "pseudolabel"):
             assert run("--config", cfg, "--out", str(out), cmd) == 0, cmd
         path = out / name
         lines = path.read_text().splitlines()
@@ -252,6 +282,26 @@ class TestStepwise:
         assert run("--config", cfg, "--out", str(out), stage) == 1
         err = capsys.readouterr().err
         assert f"error: {path}: line {bad_line}: {message}" in err, err
+
+    @pytest.mark.parametrize("label", ["track 9 3", "track 0 99"],
+                             ids=["unknown-track", "unannotated-frame"])
+    def test_mine_pairs_rejects_a_label_the_sequence_lacks(
+            self, tmp_path, capsys, label):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        for cmd in ("simulate", "sample"):
+            assert run("--config", cfg, "--out", str(out), cmd) == 0, cmd
+        path = out / "sparse_labels.txt"
+        track, frame = label.split()[1:]
+        lines = [line for line in path.read_text().splitlines()
+                 if not line.startswith(f"track {track} ")]
+        path.write_text("\n".join(lines + [label]) + "\n")
+        capsys.readouterr()
+        assert run("--config", cfg, "--out", str(out), "mine-pairs") == 1
+        err = capsys.readouterr().err
+        assert (f"error: sparse label of track {track} at frame {frame}: "
+                "sequence 'sim' has no such annotation") in err, err
+        assert not (out / "mining_pairs.txt").exists()
 
     def test_off_sequence_prediction_fails_cleanly(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -504,6 +554,35 @@ class TestParseKitti:
                    "--labels", str(labels)) == 1
         err = capsys.readouterr().err
         assert f"error: {labels}: line 3: " in err and named in err, err
+        assert not (tmp_path / "out").exists()
+
+
+    # (P2 field made bad, its value, what the error must say)
+    @pytest.mark.parametrize("field, value, named", [
+        pytest.param(0, "0", "focal lengths must be positive", id="fx-0"),
+        pytest.param(5, "nan", "intrinsics must be finite, got nan",
+                     id="fy-nan"),
+        pytest.param(2, "5000", "principal point must lie inside the image",
+                     id="cx-5000"),
+        pytest.param(11, "", "P2 line must carry 12 values, got 11",
+                     id="short"),
+        pytest.param(6, "x", "could not convert string to float: 'x'",
+                     id="non-numeric"),
+    ])
+    def test_bad_calib_names_file_and_line(self, tmp_path, capsys, field,
+                                           value, named):
+        lines = (DATA / "kitti_calib.txt").read_text().splitlines()
+        p2 = next(i for i, l in enumerate(lines) if l.startswith("P2:"))
+        values = lines[p2].split()[1:]
+        values[field] = value
+        lines[p2] = " ".join(["P2:"] + values)
+        calib = tmp_path / "calib.txt"
+        calib.write_text("\n".join(lines) + "\n")
+        assert run("--out", str(tmp_path / "out"), "parse-kitti",
+                   "--labels", str(DATA / "kitti_labels.txt"),
+                   "--calib", str(calib)) == 1
+        err = capsys.readouterr().err
+        assert f"error: {calib}: line {p2 + 1}: {named}" in err, err
         assert not (tmp_path / "out").exists()
 
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from autolabel3d.core import (Annotation, Box2D, Box3D, CameraIntrinsics,
                               Frame, InvalidArgument, Mask2D, Sequence,
-                              _rect_union_area, iou_2d, mask_roundtrip,
-                              normalize_yaw, rle_decode, rle_encode)
+                              _rect_union_area, iou_2d, normalize_yaw,
+                              rle_decode, rle_encode)
 from autolabel3d.simulator import SimConfig, simulate
 
 
@@ -63,33 +63,70 @@ class TestIou2d:
 
 class TestMaskRle:
     def test_empty_mask(self):
-        m = Mask2D(origin=(0, 0), bitmap=np.zeros((3, 3), dtype=bool))
-        assert mask_roundtrip(m) == m
+        m = Mask2D.from_bitmap((0, 0), np.zeros((3, 3), dtype=bool))
+        assert m.counts == (9,)
+        assert Mask2D((0, 0), (3, 3), m.counts) == m
+        assert not m.bitmap.any() and m.bitmap.shape == (3, 3)
 
     def test_full_mask(self):
-        m = Mask2D(origin=(2, 5), bitmap=np.ones((3, 3), dtype=bool))
-        assert mask_roundtrip(m) == m
+        m = Mask2D.from_bitmap((2, 5), np.ones((3, 3), dtype=bool))
+        assert m.counts == (0, 9)
+        assert m.bitmap.all() and m.bitmap.shape == (3, 3)
 
     def test_random_large_mask(self):
         rng = np.random.default_rng(7)
-        m = Mask2D(origin=(0, 0), bitmap=rng.random((64, 64)) < 0.4)
-        assert mask_roundtrip(m) == m
+        bitmap = rng.random((64, 64)) < 0.4
+        m = Mask2D.from_bitmap((0, 0), bitmap)
+        assert np.array_equal(m.bitmap, bitmap)
+        assert Mask2D.from_bitmap(m.origin, m.bitmap) == m
+        assert hash(Mask2D((0, 0), (64, 64), m.counts)) == hash(m)
 
     @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2 ** 31))
     def test_roundtrip_property(self, h, w, seed):
         rng = np.random.default_rng(seed)
         bitmap = rng.random((h, w)) < rng.random()
         assert np.array_equal(rle_decode(rle_encode(bitmap), (h, w)), bitmap)
+        m = Mask2D.from_bitmap((1, 2), bitmap)
+        assert list(m.counts) == rle_encode(m.bitmap)
 
     def test_bitmap_cannot_change_under_its_cached_text(self):
+        # the pixels are decoded afresh on each read: neither the array a
+        # mask was built from nor one it returned is the mask
         base = np.zeros((4, 4), dtype=bool)
-        m = Mask2D(origin=(0, 0), bitmap=base[1:3])
+        m = Mask2D.from_bitmap((0, 0), base[1:3])
         text = m.rle_text
-        with pytest.raises(ValueError):
-            m.bitmap[0, 0] = True
-        base[:] = True  # nor can the array it was built from
-        assert not m.bitmap.any()
-        assert m.rle_text == text == " ".join(map(str, rle_encode(m.bitmap)))
+        m.bitmap[0, 0] = True
+        base[:] = True
+        assert m.counts == (8,) and not m.bitmap.any()
+        assert m.rle_text == text == "8"
+
+    @pytest.mark.parametrize("origin, shape, counts", [
+        ((0, 0), (2, 2), (2, 0, 2)),
+        ((0, 0), (2, 2), (0, 0, 4)),
+        ((0, 0), (2, 2), (-1, 5)),
+        ((0, 0), (2, 2), (1, 4, -1)),
+        ((0, 0), (2, 2), (3,)),
+        ((0, 0), (2, 2), (5,)),
+        ((0, 0), (0, 0), ()),
+        ((-1, 0), (2, 2), (4,)),
+        ((0, 0), (-2, -2), (4,)),
+    ], ids=["zero-run", "zero-run-after-zero-skip", "negative-skip",
+            "negative-last", "short-sum", "long-sum", "no-counts",
+            "negative-origin", "negative-shape"])
+    def test_rejects_counts_rle_encode_cannot_write(self, origin, shape,
+                                                    counts):
+        with pytest.raises(InvalidArgument):
+            Mask2D(origin, shape, counts)
+
+    def test_holds_no_array(self):
+        from dataclasses import fields
+        assert [f.name for f in fields(Mask2D)] == ["origin", "shape",
+                                                    "counts"]
+        m = Mask2D.from_bitmap((3, 4), np.eye(5, dtype=bool))
+        assert m.shape == (5, 5) and m.counts == (0, 1, 5, 1, 5, 1, 5, 1, 5,
+                                                  1)
+        for value in (m.origin, m.shape, m.counts):
+            assert all(type(v) is int for v in value)
 
     def test_malformed_rle(self):
         from autolabel3d.core import DecodeError
@@ -200,3 +237,11 @@ class TestSequenceViews:
         with pytest.raises(InvalidArgument, match="frame 3 annotates track 7 "
                                                   "twice"):
             Frame(3, EYE, [ann(3, 1), a, ann(3, 2), a])
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+    def test_frame_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(InvalidArgument, match="frame_rate must be "
+                                                  "positive and finite"):
+            Sequence(id="s", intrinsics=CameraIntrinsics(
+                700.0, 700.0, 620.0, 187.0, 1242, 375), frames=(),
+                frame_rate=rate)

@@ -113,9 +113,9 @@ def make_sequence(seed=0, n_frames=4, n_tracks=3, with_masks=True):
                 continue
             mask = None
             if with_masks and rng.random() < 0.5:
-                mask = Mask2D(origin=(int(rng.integers(0, 50)),
-                                      int(rng.integers(0, 50))),
-                              bitmap=rng.random((5, 7)) < 0.5)
+                mask = Mask2D.from_bitmap((int(rng.integers(0, 50)),
+                                           int(rng.integers(0, 50))),
+                                          rng.random((5, 7)) < 0.5)
             anns.append(Annotation(
                 frame_index=fi, track_id=tid,
                 box2d=Box2D(*rng.uniform(10, 300, 2), *rng.uniform(5, 60, 2)),
@@ -162,7 +162,7 @@ def make_pseudolabels(seed=0, n=10):
     for i in range(n):
         mask = None
         if rng.random() < 0.3:
-            mask = Mask2D(origin=(1, 2), bitmap=rng.random((3, 4)) < 0.5)
+            mask = Mask2D.from_bitmap((1, 2), rng.random((3, 4)) < 0.5)
         out.append(Pseudolabel(
             frame_index=i, track_id=int(rng.integers(0, 5)),
             box2d=Box2D(*rng.uniform(10, 300, 2), *rng.uniform(5, 60, 2)),
@@ -256,6 +256,16 @@ class TestOtherDocuments:
                           "plmask 0 x487 2 3 4 12"], 3),
         ("pseudolabels", ["# autolabel3d pseudolabels v1", PL,
                           "plmask 0 1 2 3 4 5 2"], 3),
+        ("pseudolabels", ["# autolabel3d pseudolabels v1", PL,
+                          "plmask 0 1 2 3 4 5 0 2 5"], 3),
+        ("pseudolabels", ["# autolabel3d pseudolabels v1", PL,
+                          "plmask 0 1 2 3 4 0 0 12"], 3),
+        ("pseudolabels", ["# autolabel3d pseudolabels v1", PL,
+                          "plmask 0 1 2 3 4 14 -2"], 3),
+        ("pseudolabels", ["# autolabel3d pseudolabels v1", PL,
+                          "plmask 0 1 2 3 4 5 2 6"], 3),
+        ("sequence", SEQ + [FRAME, ANN, "mask 0 1 2 3 4 2 0 3 7"], 6),
+        ("sequence", SEQ + [FRAME, ANN, "mask 0 1 2 3 4"], 6),
         ("pseudolabels", ["# autolabel3d pseudolabels v1", PLMASK, PL], 2),
         ("metric_report", ["# autolabel3d metricreport v1", "mota x"], 2),
         ("sequence", SEQ + [FRAME, ANN.replace("ann 0", "ann -3")], 5),
@@ -269,14 +279,29 @@ class TestOtherDocuments:
         ("sparse_labels", SPARSE + ["seed 1"], 6),
         ("metric_report", ["# autolabel3d metricreport v1", "mota 1",
                            "mota 0.5"], 3),
+        ("sequence", [SEQ[0], "sequence sim 0", SEQ[2]], 2),
+        ("sequence", [SEQ[0], "sequence sim nan", SEQ[2]], 2),
+        ("sequence", [SEQ[0], "sequence sim inf", SEQ[2]], 2),
+        ("sparse_labels", SPARSE + ["track 0 13", "omitted 0 no-eligible"], 7),
+        ("sparse_labels", SPARSE + ["omitted 0 no-eligible", "track 0 13"], 7),
+        ("sparse_labels", SPARSE + ["omitted 0 no-eligible",
+                                    "omitted 0 no-eligible"], 7),
+        ("pseudolabels", ["# autolabel3d pseudolabels v1", PL, PLMASK, PL],
+         4),
     ], ids=["short-sequence", "short-ann", "ann-before-frame",
             "non-integer-track", "bare-seed", "unknown-tag", "short-pair",
-            "plmask-bad-token", "plmask-bad-rle", "plmask-before-pl",
+            "plmask-bad-token", "plmask-bad-rle",
+            "plmask-zero-run", "plmask-zero-skip-then-zero-run",
+            "plmask-negative-count", "plmask-long-sum",
+            "mask-zero-run", "mask-no-counts", "plmask-before-pl",
             "non-numeric-mota", "negative-track", "negative-frame",
             "track-twice-in-a-frame", "frame-below-the-last",
             "frame-at-the-last", "repeated-sequence-record",
             "repeated-intrinsics-record", "repeated-track-record",
-            "repeated-seed-record", "repeated-mota-record"])
+            "repeated-seed-record", "repeated-mota-record",
+            "zero-frame-rate", "nan-frame-rate", "inf-frame-rate",
+            "omitted-after-track", "track-after-omitted",
+            "repeated-omitted-record", "repeated-pl-record"])
     def test_malformed_record_names_the_line(self, parse, lines, bad_line):
         with pytest.raises(ParseError, match=rf"^line {bad_line}: "):
             getattr(formats, f"parse_{parse}")("\n".join(lines) + "\n")
@@ -415,7 +440,7 @@ class TestMaskText:
     @given(bitmaps(), st.integers(0, 30), st.integers(0, 30))
     def test_records_are_the_rle_counts(self, bitmap, x0, y0):
         from autolabel3d.core import rle_encode
-        mask = Mask2D(origin=(x0, y0), bitmap=bitmap)
+        mask = Mask2D.from_bitmap((x0, y0), bitmap)
         label = make_pseudolabels(0, n=1)[0]
         ann = Annotation(frame_index=0, track_id=label.track_id,
                          box2d=label.box2d, box3d=label.box3d,
@@ -434,6 +459,9 @@ class TestMaskText:
         assert formats.parse_pseudolabels(pl_text) == [label]
 
     def test_each_mask_is_encoded_once(self, monkeypatch):
+        # a mask is its counts: writing one formats them once per mask
+        # object and encodes no pixels, and reading one decodes none
+        from functools import cached_property
         from autolabel3d import core
         from autolabel3d.pipeline import PipelineConfig, run_pipeline
         from autolabel3d.providers import NoiseConfig, OracleProviderSet
@@ -450,11 +478,21 @@ class TestMaskText:
         masks = [m for m in masks if m is not None]
         distinct = {id(m) for m in masks}
         assert len(masks) > 2 * len(distinct)  # the documents share masks
-        calls = []
-        encode = core.rle_encode
-        monkeypatch.setattr(core, "rle_encode",
-                            lambda bitmap: calls.append(1) or encode(bitmap))
-        formats.serialize_sequence(seq)
-        for labels in documents:
-            formats.serialize_pseudolabels(labels)
-        assert len(calls) == len(distinct)
+
+        def no_codec(*args):
+            raise AssertionError("a mask was encoded or decoded")
+
+        monkeypatch.setattr(core, "rle_encode", no_codec)
+        monkeypatch.setattr(core, "rle_decode", no_codec)
+        formatted = []
+        text = core.Mask2D.rle_text.func
+        counted = cached_property(lambda m: formatted.append(1) or text(m))
+        counted.__set_name__(core.Mask2D, "rle_text")
+        monkeypatch.setattr(core.Mask2D, "rle_text", counted)
+        seq_text = formats.serialize_sequence(seq)
+        texts = [formats.serialize_pseudolabels(labels)
+                 for labels in documents]
+        assert len(formatted) == len(distinct)
+        assert formats.parse_sequence(seq_text) == seq
+        for labels, pl_text in zip(documents, texts):
+            assert formats.parse_pseudolabels(pl_text) == labels

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,6 +110,15 @@ def sparse_with(seq, labeled):
                           reduction_ratio=0.0)
 
 
+def test_a_track_both_selected_and_omitted_is_rejected():
+    seq = track_sequence({0: 0, 3: 0})
+    with pytest.raises(InvalidArgument, match="track 0 is both selected "
+                                              "and omitted"):
+        replace(sparse_with(seq, [0, 3]),
+                omitted=((2, "no-eligible-frames"),
+                         (0, "no-eligible-frames")))
+
+
 def brute_force_counts(labeled, unlabeled, window):
     L, U = sorted(labeled), sorted(unlabeled)
     self_n = len(L)
@@ -176,6 +187,17 @@ class TestMinePairs:
                      if p.waypoint_frame is not None}
         assert 1 not in waypoints
         assert 2 in waypoints
+
+    @pytest.mark.parametrize("track, frame", [(9, 3), (0, 99)],
+                             ids=["unknown-track", "unannotated-frame"])
+    def test_label_the_sequence_lacks_is_rejected(self, track, frame):
+        seq = track_sequence({0: 0, 3: 0, 5: 0}, seq_id="mp")
+        sparse = replace(sparse_with(seq, [0, 5]),
+                         selected={0: (0, 5), track: (frame,)})
+        with pytest.raises(InvalidArgument, match=(
+                f"^sparse label of track {track} at frame {frame}: "
+                "sequence 'mp' has no such annotation$")):
+            mine_pairs(seq, sparse)
 
     def test_invariant_enforcement(self):
         with pytest.raises(InvalidArgument):

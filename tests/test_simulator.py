@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from autolabel3d.core import (Annotation, Box2D, Box3D, InvalidArgument,
-                              _rect_union_area, occlusion_fractions)
+                              _rect_union_area, occlusion_fractions,
+                              rle_encode)
 from autolabel3d.formats import serialize_sequence
 from autolabel3d.geometry import heading_vector
 from autolabel3d.simulator import (SimConfig, _convex_hull, _hull_mask,
@@ -97,6 +98,7 @@ class TestHullMask:
         else:
             assert got.origin == (left, top)
             assert np.array_equal(got.bitmap, want)
+            assert got.counts == tuple(rle_encode(want))
 
     def test_vertices_on_pixel_centres_are_inside(self):
         # a triangle whose every vertex and edge passes through pixel centres
@@ -105,6 +107,12 @@ class TestHullMask:
         assert np.array_equal(got, np.add.outer(np.arange(5), np.arange(5))
                               <= 4)
         assert _hull_mask(points[[0, 1, 0]], 0, 0, 5, 5) is None
+
+    def test_runs_of_full_rows_are_one_run(self):
+        square = np.array([[-1.0, -1.0], [9.0, -1.0], [9.0, 9.0], [-1.0, 9.0]])
+        assert _hull_mask(square, 0, 0, 5, 4).counts == (0, 20)
+        assert _hull_mask(square, 0, 0, 5, 12).counts == (0, 45, 15)
+        assert _hull_mask(square, 0, 3, 12, 2).counts == (0, 9, 3, 9, 3)
 
 
 class TestRectUnion:
@@ -292,6 +300,16 @@ class TestSimulate:
                 any_mask = True
                 assert a.mask.bitmap.any()
         assert any_mask
+
+    def test_masks_hold_no_array(self):
+        seq = simulate(SimConfig(seed=4, duration=4, object_count=4))
+        masks = [a.mask for f in seq.frames for a in f.annotations if a.mask]
+        assert masks
+        for m in masks:
+            assert not any(isinstance(v, np.ndarray)
+                           for v in vars(m).values())
+            assert all(type(v) is int
+                       for v in (*m.origin, *m.shape, *m.counts))
 
     def test_bad_config(self):
         with pytest.raises(InvalidArgument):

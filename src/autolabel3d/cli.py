@@ -187,7 +187,6 @@ def _recall_csv(report) -> str:
 
 
 def cmd_parse_kitti(args, cfg: RunConfig, store: ArtifactStore):
-    rows = _parse_file(Path(args.labels), formats.parse_kitti_labels)
     if args.calib:
         calib = _parse_file(Path(args.calib), formats.parse_kitti_calib)
         intrinsics = calib.intrinsics
@@ -195,7 +194,8 @@ def cmd_parse_kitti(args, cfg: RunConfig, store: ArtifactStore):
             log.warning("P2 carries a nonzero translation column; ignored")
     else:
         intrinsics = CameraIntrinsics(**DEFAULT_INTRINSICS)
-    seq, stats = formats.kitti_rows_to_sequence(rows, intrinsics)
+    seq, stats = _parse_file(Path(args.labels),
+                             lambda text: formats.parse_kitti(text, intrinsics))
     store.put(SEQUENCE_FILE, seq, formats.serialize_sequence)
     print(f"parsed {stats.kept} annotations "
           f"(dropped {stats.dropped_dontcare} DontCare, "

@@ -1,18 +1,20 @@
 """KITTI label/calib parsing and the canonical internal text formats.
 
-Internal documents are line-delimited whitespace-separated text with a
-versioned header line, so golden files diff cleanly and round-trip
-bit-exactly. Floats are written with 17 significant digits (lossless for
-doubles). A weight-map row is formatted once per distinct row of a document
-and the RLE counts a ``Mask2D`` stores once per mask; the bytes are those of
-formatting every cell and record afresh. No mask pixel is read or written.
+A KITTI labels row becomes its ``Annotation`` on the line it is read, so
+the core types' own checks name the line. Internal documents are
+line-delimited whitespace-separated text with a versioned header line, so
+golden files diff cleanly and round-trip bit-exactly; a record with more
+fields than its tag carries is refused. Floats are written with 17
+significant digits (lossless for doubles). A weight-map row is formatted
+once per distinct row of a document and the RLE counts a ``Mask2D`` stores
+once per mask; the bytes are those of formatting every cell and record
+afresh. No mask pixel is read or written.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -20,9 +22,9 @@ from .core import (Annotation, Box2D, Box3D, CameraIntrinsics, Frame,
                    Heatmap, InvalidArgument, Mask2D, Provenance, Pseudolabel,
                    Sequence, normalize_yaw)
 from .geometry import direction_at
+from .simulator import DEFAULT_INTRINSICS
 
 SCHEMA_VERSION = 1
-DEFAULT_VEHICLE_CATEGORIES = frozenset({"Car", "Van"})
 
 
 class ParseError(ValueError):
@@ -44,95 +46,13 @@ def _floats(*xs) -> str:
 # ---------------------------------------------------------------------------
 # KITTI tracking labels
 
-@dataclass(frozen=True)
-class KittiLabelRow:
-    frame: int
-    track_id: int
-    type: str
-    truncated: float
-    occluded: int
-    alpha: float
-    bbox: tuple[float, float, float, float]  # left, top, right, bottom
-    dims: tuple[float, float, float]         # h, w, l (KITTI order)
-    location: tuple[float, float, float]     # x, y, z (bottom center)
-    rotation_y: float
-    score: Optional[float] = None
-
-    def __post_init__(self):
-        if self.frame < 0:
-            raise InvalidArgument(f"frame must be >= 0, got {self.frame}")
-        if self.type == "DontCare":  # KITTI writes -1 for its id and occlusion
-            return
-        for name, values in (("bbox", self.bbox), ("dims", self.dims),
-                             ("location", self.location),
-                             ("rotation_y", (self.rotation_y,))):
-            if not all(map(math.isfinite, values)):
-                raise InvalidArgument(f"{name} must be finite, got {values}")
-        if min(self.dims) <= 0:
-            raise InvalidArgument(f"dims must be positive, got {self.dims}")
-        left, top, right, bottom = self.bbox
-        if right <= left or bottom <= top:
-            raise InvalidArgument(
-                f"degenerate bbox {self.bbox} for type {self.type!r}")
-        if self.track_id < 0:
-            raise InvalidArgument(f"track_id must be >= 0, got {self.track_id}")
-        if self.occluded not in (0, 1, 2, 3):
-            raise InvalidArgument(
-                f"occluded must be in {{0,1,2,3}}, got {self.occluded}")
-
+VEHICLE_CATEGORIES = frozenset({"Car", "Van"})
 
 _KITTI_FIELDS = ("frame", "track_id", "type", "truncated", "occluded", "alpha",
                  "bbox_left", "bbox_top", "bbox_right", "bbox_bottom",
                  "dim_h", "dim_w", "dim_l", "loc_x", "loc_y", "loc_z",
                  "rotation_y", "score")
-
-
-def parse_kitti_labels(text: str) -> list[KittiLabelRow]:
-    """Parse a KITTI tracking label file (17 or 18 tokens per line). A row
-    that is malformed, that ``KittiLabelRow`` rejects, or that repeats the
-    (frame, track id) of an earlier row other than DontCare raises a
-    ``ParseError`` naming its line."""
-    rows = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if len(tokens) not in (17, 18):
-            raise ParseError(
-                f"line {lineno}: expected 17 or 18 tokens, got {len(tokens)}")
-
-        def num(idx, cast=float):
-            try:
-                return cast(tokens[idx])
-            except (ValueError, OverflowError):  # int(float("inf")) overflows
-                raise ParseError(
-                    f"line {lineno}: invalid value {tokens[idx]!r} "
-                    f"for field {_KITTI_FIELDS[idx]!r}") from None
-
-        try:
-            row = KittiLabelRow(
-                frame=num(0, int),
-                track_id=num(1, int),
-                type=tokens[2],
-                truncated=num(3),
-                occluded=num(4, int),
-                alpha=num(5),
-                bbox=(num(6), num(7), num(8), num(9)),
-                dims=(num(10), num(11), num(12)),
-                location=(num(13), num(14), num(15)),
-                rotation_y=num(16),
-                score=num(17) if len(tokens) == 18 else None,
-            )
-            if row.type != "DontCare":
-                key = (row.frame, row.track_id)
-                if key in seen:
-                    raise InvalidArgument(f"duplicate (frame, track_id) {key}")
-                seen.add(key)
-        except InvalidArgument as e:
-            raise ParseError(f"line {lineno}: {e}") from None
-        rows.append(row)
-    return rows
+_KITTI_INTS = frozenset({"frame", "track_id", "occluded"})
 
 
 @dataclass(frozen=True)
@@ -141,24 +61,31 @@ class CalibResult:
     translation_ignored: bool  # fourth projection column was nonzero
 
 
-def parse_kitti_calib(text: str, width: int = 1242, height: int = 375) -> CalibResult:
-    """Extract pinhole intrinsics from the P2 projection matrix; a bad or
-    refused P2 line raises a ``ParseError`` naming it."""
+def parse_kitti_calib(text: str) -> CalibResult:
+    """Extract pinhole intrinsics from the P2 projection matrix, for an
+    image of ``simulator.DEFAULT_INTRINSICS``'s size; a bad, refused or
+    repeated P2 line raises a ``ParseError`` naming it."""
+    result = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip().startswith("P2:"):
             continue
         values = line.split(":", 1)[1].split()
         try:
+            if result is not None:
+                raise ValueError("repeated P2 line")
             if len(values) != 12:
                 raise ValueError(f"P2 line must carry 12 values, got "
                                  f"{len(values)}")
             p = [float(v) for v in values]  # row-major 3 x 4
             intr = CameraIntrinsics(fx=p[0], fy=p[5], cx=p[2], cy=p[6],
-                                    width=width, height=height)
+                                    width=DEFAULT_INTRINSICS["width"],
+                                    height=DEFAULT_INTRINSICS["height"])
         except ValueError as e:  # InvalidArgument too
             raise ParseError(f"line {lineno}: {e}") from None
-        return CalibResult(intr, translation_ignored=any(p[3::4]))
-    raise ParseError("calibration file has no P2 line")
+        result = CalibResult(intr, translation_ignored=any(p[3::4]))
+    if result is None:
+        raise ParseError("calibration file has no P2 line")
+    return result
 
 
 @dataclass
@@ -168,12 +95,16 @@ class ConversionStats:
     kept: int = 0
 
 
-def kitti_rows_to_sequence(rows, intrinsics: CameraIntrinsics, seq_id: str = "kitti",
-                           frame_rate: float = 10.0,
-                           vehicle_categories=DEFAULT_VEHICLE_CATEGORIES,
-                           ) -> tuple[Sequence, ConversionStats]:
-    """Build a Sequence from the rows of ``parse_kitti_labels``, which has
-    rejected a repeated (frame, track id) naming its line.
+def parse_kitti(text: str, intrinsics: CameraIntrinsics
+                ) -> tuple[Sequence, ConversionStats]:
+    """Build the sequence ``kitti`` (10 Hz) of the Car and Van rows of a
+    KITTI tracking label file (17 or 18 tokens a row).
+
+    Each row but DontCare becomes its ``Annotation`` as it is read, so a
+    row that is malformed, that a core type refuses, that has a negative
+    frame, or that repeats the (frame, track id) of an earlier row other
+    than DontCare raises a ``ParseError`` naming its line. Rows of other
+    categories are checked, then counted and dropped.
 
     KITTI locations are bottom-center; Box3D uses the geometric center, so y
     is shifted up by h/2 (camera y points down). KITTI dims come as (h, w, l)
@@ -181,35 +112,56 @@ def kitti_rows_to_sequence(rows, intrinsics: CameraIntrinsics, seq_id: str = "ki
     """
     stats = ConversionStats()
     per_frame: dict[int, list[Annotation]] = {}
-    for r in rows:
-        if r.type == "DontCare":
-            stats.dropped_dontcare += 1
+    seen: set[tuple[int, int]] = set()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens:
             continue
-        if r.type not in vehicle_categories:
+        if len(tokens) not in (17, 18):
+            raise ParseError(
+                f"line {lineno}: expected 17 or 18 tokens, got {len(tokens)}")
+        values = []
+        for name, token in zip(_KITTI_FIELDS, tokens):
+            try:
+                values.append(token if name == "type" else
+                              (int if name in _KITTI_INTS else float)(token))
+            except ValueError:
+                raise ParseError(f"line {lineno}: invalid value {token!r} "
+                                 f"for field {name!r}") from None
+        (frame, track_id, kind, _, occluded, _, left, top, right, bottom,
+         h, w, l, x, y, z, rotation_y) = values[:17]
+        try:
+            if frame < 0:
+                raise InvalidArgument(f"frame must be >= 0, got {frame}")
+            if kind == "DontCare":  # KITTI writes -1 for its id and occlusion
+                stats.dropped_dontcare += 1
+                continue
+            center = (x, y - h / 2.0, z)
+            yaw = normalize_yaw(rotation_y)
+            ann = Annotation(
+                frame_index=frame, track_id=track_id,
+                box2d=Box2D.from_corners(left, top, right, bottom),
+                box3d=Box3D(center=center, dims=(l, w, h), yaw=yaw,
+                            direction=direction_at(center, yaw)),
+                occlusion_level=occluded)
+            if (frame, track_id) in seen:
+                raise InvalidArgument(
+                    f"duplicate (frame, track_id) {(frame, track_id)}")
+        except InvalidArgument as e:
+            raise ParseError(f"line {lineno}: {e}") from None
+        seen.add((frame, track_id))
+        if kind not in VEHICLE_CATEGORIES:
             stats.dropped_category += 1
             continue
-        h, w, l = r.dims
-        x, y, z = r.location
-        center = (x, y - h / 2.0, z)
-        yaw = normalize_yaw(r.rotation_y)
-        box3d = Box3D(center=center, dims=(l, w, h), yaw=yaw,
-                      direction=direction_at(center, yaw))
-        ann = Annotation(
-            frame_index=r.frame,
-            track_id=r.track_id,
-            box2d=Box2D.from_corners(*r.bbox),
-            box3d=box3d,
-            occlusion_level=r.occluded,
-        )
-        per_frame.setdefault(r.frame, []).append(ann)
+        per_frame.setdefault(frame, []).append(ann)
         stats.kept += 1
 
     eye = np.hstack([np.eye(3), np.zeros((3, 1))])
     frames = tuple(Frame(frame_index=i, ego_pose=eye,
                          annotations=tuple(per_frame[i]))
                    for i in sorted(per_frame))
-    return Sequence(id=seq_id, intrinsics=intrinsics, frames=frames,
-                    frame_rate=frame_rate), stats
+    return Sequence(id="kitti", intrinsics=intrinsics, frames=frames,
+                    frame_rate=10.0), stats
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +186,13 @@ def _check_header(text: str, kind: str) -> list[str]:
     return lines[1:]
 
 
-def _records(text: str, kind: str, headers, on_record) -> None:
+def _records(text: str, kind: str, headers, sizes, on_record) -> None:
     """Check the header of a tagged document, then call
     ``on_record(tag, fields)`` for each non-blank line. A second record of
-    a tag in ``headers`` raises a ``ParseError`` naming its line, and so
-    does an ``IndexError`` or ``ValueError`` from the handler (a short
-    record, a bad number, bad mask counts, a record out of place)."""
+    a tag in ``headers``, or a record with more fields than ``sizes`` gives
+    its tag, raises a ``ParseError`` naming its line, and so does an
+    ``IndexError`` or ``ValueError`` from the handler (a short record, a bad
+    number, bad mask counts, a record out of place)."""
     seen: set[str] = set()
     for lineno, line in enumerate(_check_header(text, kind), start=2):
         tokens = line.split()
@@ -247,6 +200,9 @@ def _records(text: str, kind: str, headers, on_record) -> None:
             continue
         if tokens[0] in headers and tokens[0] in seen:
             raise ParseError(f"line {lineno}: repeated {tokens[0]!r} record")
+        if len(tokens) - 1 > sizes.get(tokens[0], math.inf):
+            raise ParseError(f"line {lineno}: too many fields in "
+                             f"{tokens[0]!r} record")
         seen.add(tokens[0])
         try:
             on_record(tokens[0], tokens[1:])
@@ -347,7 +303,9 @@ def parse_sequence(text: str) -> Sequence:
         else:
             raise ParseError(f"unknown record {tag!r}")
 
-    _records(text, "sequence", ("sequence", "intrinsics"), on_record)
+    _records(text, "sequence", ("sequence", "intrinsics"),
+             {"sequence": 2, "intrinsics": 6, "frame": 13, "ann": 15},
+             on_record)
     if "id" not in head or "intrinsics" not in head:
         raise ParseError("sequence document missing header records")
     return Sequence(frames=tuple(replace(frame, annotations=tuple(anns))
@@ -369,7 +327,7 @@ def serialize_sparse_labels(sparse) -> str:
 
 
 def parse_sparse_labels(text: str):
-    from .sampling import SparseLabelSet
+    from .sampling import SparseLabelSet, check_selected_track
 
     head: dict = {}
     selected: dict[int, tuple[int, ...]] = {}
@@ -387,15 +345,19 @@ def parse_sparse_labels(text: str):
             if track_id in selected or track_id in omitted:
                 raise ParseError(f"repeated track {track_id}")
             if tag == "track":
-                selected[track_id] = tuple(int(v) for v in f[1:])
+                if "max_per_track" not in head:
+                    raise ParseError("no max_per_track record before this one")
+                frames = tuple(int(v) for v in f[1:])
+                check_selected_track(track_id, frames, head["max_per_track"])
+                selected[track_id] = frames
             else:
                 omitted[track_id] = f[1]
         else:
             raise ParseError(f"unknown record {tag!r}")
 
-    _records(text, "sparselabels",
-             ("sequence", "max_per_track", "seed", "reduction_ratio"),
-             on_record)
+    headers = ("sequence", "max_per_track", "seed", "reduction_ratio")
+    _records(text, "sparselabels", headers,
+             dict.fromkeys(headers, 1) | {"omitted": 2}, on_record)
     if len(head) != 4:
         raise ParseError("sparse labels document missing header records")
     return SparseLabelSet(selected=selected, omitted=tuple(omitted.items()),
@@ -425,7 +387,7 @@ def parse_mining_pairs(text: str):
             waypoint_frame=None if waypoint == "-" else int(waypoint),
             target_frame=int(target)))
 
-    _records(text, "miningpairs", (), on_record)
+    _records(text, "miningpairs", (), {"pair": 5}, on_record)
     return pairs
 
 
@@ -463,7 +425,7 @@ def parse_pseudolabels(text: str) -> list[Pseudolabel]:
         else:
             raise ParseError(f"unknown record {tag!r}")
 
-    _records(text, "pseudolabels", (), on_record)
+    _records(text, "pseudolabels", (), {"pl": 17}, on_record)
     return labels
 
 
@@ -551,11 +513,12 @@ def serialize_metric_report(report) -> str:
 def parse_metric_report(text: str):
     from .metrics import Counts, MetricReport, RecallPoint
 
+    scalars = ("mota", "motp", "idf1", "amota", "amotp")
     fields: dict = {}
     per_recall: list = []
 
     def on_record(tag, f):
-        if tag in ("mota", "motp", "idf1", "amota", "amotp"):
+        if tag in scalars:
             fields[tag] = float(f[0])
         elif tag == "counts":
             tp, fp, fn, idsw, gt_total = (int(v) for v in f)
@@ -572,8 +535,8 @@ def parse_metric_report(text: str):
         else:
             raise ParseError(f"unknown record {tag!r}")
 
-    _records(text, "metricreport",
-             ("mota", "motp", "idf1", "amota", "amotp", "counts", "config"),
+    _records(text, "metricreport", scalars + ("counts", "config"),
+             dict.fromkeys(scalars, 1) | {"counts": 5, "recall": 8},
              on_record)
     if len(fields) != 8:
         raise ParseError("metric report missing header records")

@@ -34,6 +34,18 @@ def is_eligible(ann: Annotation) -> bool:
     return True
 
 
+def check_selected_track(track_id: int, frames: tuple[int, ...],
+                         max_per_track: int) -> None:
+    """A selected track has one to ``max_per_track`` frames, strictly
+    increasing."""
+    if not frames:
+        raise InvalidArgument(f"track {track_id}: no frames")
+    if any(b <= a for a, b in zip(frames, frames[1:])):
+        raise InvalidArgument(f"track {track_id}: frames not increasing")
+    if len(frames) > max_per_track:
+        raise InvalidArgument(f"track {track_id}: over budget")
+
+
 @dataclass(frozen=True)
 class SparseLabelSet:
     sequence_id: str
@@ -49,10 +61,7 @@ class SparseLabelSet:
             raise InvalidArgument(f"track {min(both)} is both selected and "
                                   "omitted")
         for tid, frames in self.selected.items():
-            if any(b <= a for a, b in zip(frames, frames[1:])):
-                raise InvalidArgument(f"track {tid}: frames not increasing")
-            if len(frames) > self.max_per_track:
-                raise InvalidArgument(f"track {tid}: over budget")
+            check_selected_track(tid, frames, self.max_per_track)
 
 
 def labeled_annotation(seq: Sequence, track_id: int,

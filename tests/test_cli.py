@@ -215,6 +215,44 @@ def set_frame_rate(rate):
     return edit
 
 
+def append_field(tag):
+    def edit(lines):
+        """Append one field to the first ``tag`` record."""
+        i = next(i for i, line in enumerate(lines)
+                 if line.startswith(f"{tag} "))
+        lines[i] += " 0"
+        return i + 1, f"too many fields in {tag!r} record"
+    return edit
+
+
+def set_track_0(frames, message):
+    def edit(lines):
+        """Give the ``track 0`` record other frames."""
+        i = next(i for i, line in enumerate(lines)
+                 if line.startswith("track 0 "))
+        lines[i] = f"track 0 {frames}".rstrip()
+        return i + 1, f"malformed 'track' record: track 0: {message}"
+    return edit
+
+
+def edit_and_run(tmp_path, capsys, name, stage, edit):
+    """Write the artifacts of ``simulate``, ``sample`` and ``pseudolabel``,
+    ``edit`` the lines of ``name`` and check that ``stage`` exits 1 naming
+    the line the edit returns."""
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    for cmd in ("simulate", "sample", "pseudolabel"):
+        assert run("--config", cfg, "--out", str(out), cmd) == 0, cmd
+    path = out / name
+    lines = path.read_text().splitlines()
+    bad_line, message = edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("--config", cfg, "--out", str(out), stage) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: line {bad_line}: {message}" in err, err
+
+
 class TestStepwise:
     def test_stages_compose(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -270,18 +308,25 @@ class TestStepwise:
             "nan-frame-rate", "inf-frame-rate"])
     def test_repeated_record_names_file_and_line(self, tmp_path, capsys,
                                                  name, stage, edit):
-        cfg = write_config(tmp_path)
-        out = tmp_path / "out"
-        for cmd in ("simulate", "sample", "pseudolabel"):
-            assert run("--config", cfg, "--out", str(out), cmd) == 0, cmd
-        path = out / name
-        lines = path.read_text().splitlines()
-        bad_line, message = edit(lines)
-        path.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        assert run("--config", cfg, "--out", str(out), stage) == 1
-        err = capsys.readouterr().err
-        assert f"error: {path}: line {bad_line}: {message}" in err, err
+        edit_and_run(tmp_path, capsys, name, stage, edit)
+
+    @pytest.mark.parametrize("name, stage, edit", [
+        ("sequence.txt", "pseudolabel", append_field("frame")),
+        ("sequence.txt", "pseudolabel", append_field("sequence")),
+        ("sequence.txt", "pseudolabel", append_field("ann")),
+        ("sparse_labels.txt", "pseudolabel", append_field("seed")),
+        ("pseudolabels.txt", "evaluate", append_field("pl")),
+        ("sparse_labels.txt", "pseudolabel",
+         set_track_0("13 5", "frames not increasing")),
+        ("sparse_labels.txt", "pseudolabel",
+         set_track_0("1 2 3 4 5 6", "over budget")),
+        ("sparse_labels.txt", "pseudolabel", set_track_0("", "no frames")),
+    ], ids=["frame-extra-field", "sequence-extra-field", "ann-extra-field",
+            "seed-extra-field", "pl-extra-field", "track-not-increasing",
+            "track-over-budget", "bare-track"])
+    def test_refused_record_names_file_and_line(self, tmp_path, capsys,
+                                                name, stage, edit):
+        edit_and_run(tmp_path, capsys, name, stage, edit)
 
     @pytest.mark.parametrize("label", ["track 9 3", "track 0 99"],
                              ids=["unknown-track", "unannotated-frame"])
@@ -525,21 +570,25 @@ class TestParseKitti:
                      id="negative-track-id"),
         pytest.param(0, "-1", "frame must be >= 0, got -1",
                      id="negative-frame"),
-        pytest.param(8, "100", "degenerate bbox", id="right-at-left"),
-        pytest.param(4, "4", "occluded must be in {0,1,2,3}, got 4",
+        pytest.param(8, "100", "box2d sides must be positive",
+                     id="right-at-left"),
+        pytest.param(4, "4", "occlusion_level must be in {0,1,2,3}, got 4",
                      id="occluded-4"),
-        pytest.param(4, "-1", "occluded must be in {0,1,2,3}, got -1",
+        pytest.param(4, "-1", "occlusion_level must be in {0,1,2,3}, got -1",
                      id="occluded-minus-1"),
         pytest.param(4, "inf", "invalid value 'inf' for field 'occluded'",
                      id="occluded-inf"),
         pytest.param(16, "", "expected 17 or 18 tokens", id="short-row"),
         pytest.param(4, "2.9", "invalid value '2.9' for field 'occluded'",
                      id="occluded-2.9"),
-        pytest.param(6, "nan", "bbox must be finite", id="bbox-nan"),
-        pytest.param(9, "inf", "bbox must be finite", id="bbox-inf"),
+        pytest.param(6, "nan", "box2d must be finite, got nan",
+                     id="bbox-nan"),
+        pytest.param(9, "inf", "box2d must be finite, got inf",
+                     id="bbox-inf"),
         pytest.param(12, "-4.2", "dims must be positive", id="negative-dim"),
         pytest.param(10, "0", "dims must be positive", id="zero-dim"),
-        pytest.param(15, "nan", "location must be finite", id="location-nan"),
+        pytest.param(15, "nan", "box3d.center must be finite, got nan",
+                     id="location-nan"),
         pytest.param(0, "0", "duplicate (frame, track_id) (0, 0)",
                      id="duplicate"),
     ])
@@ -554,6 +603,26 @@ class TestParseKitti:
                    "--labels", str(labels)) == 1
         err = capsys.readouterr().err
         assert f"error: {labels}: line 3: " in err and named in err, err
+        assert not (tmp_path / "out").exists()
+
+    # (line 3 of the labels, what the error must say besides the line)
+    @pytest.mark.parametrize("row, named", [
+        pytest.param(GOOD_ROW.replace(" Car ", " Pedestrian ")
+                     .replace(" 200 ", " 100 "), "", id="pedestrian-degenerate"),
+        pytest.param("-1 -1 DontCare -1 -1 -10 0 0 10 10 -1 -1 -1 -1000 -1000 "
+                     "-1000 -10", "frame must be >= 0, got -1",
+                     id="dontcare-negative-frame"),
+        pytest.param(GOOD_ROW.replace("0 0 Car", "1 0 Car") + " high",
+                     "invalid value 'high' for field 'score'",
+                     id="non-numeric-score"),
+    ])
+    def test_any_row_is_checked(self, tmp_path, capsys, row, named):
+        labels = tmp_path / "labels.txt"
+        labels.write_text(f"{self.GOOD_ROW}\n\n{row}\n")
+        assert run("--out", str(tmp_path / "out"), "parse-kitti",
+                   "--labels", str(labels)) == 1
+        err = capsys.readouterr().err
+        assert f"error: {labels}: line 3: {named}" in err, err
         assert not (tmp_path / "out").exists()
 
 

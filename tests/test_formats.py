@@ -9,42 +9,47 @@ from autolabel3d import formats
 from autolabel3d.core import (Annotation, Box2D, Box3D, CameraIntrinsics,
                               Frame, Mask2D, Provenance,
                               Pseudolabel, Sequence)
-from autolabel3d.formats import (ParseError, SchemaVersionError,
-                                 kitti_rows_to_sequence, parse_kitti_calib,
-                                 parse_kitti_labels)
+from autolabel3d.formats import (ParseError, SchemaVersionError, parse_kitti,
+                                 parse_kitti_calib)
 
 LABEL_LINE = "0 2 Car 0 0 -1.57 100 120 200 180 1.5 1.7 4.2 2.0 1.6 15.0 -1.6"
+CALIB = ("P0: 700 0 620 0 0 700 187 0 0 0 1 0\n"
+         "P2: 700 0 620 0 0 700 187 0 0 0 1 0\n")
+K = parse_kitti_calib(CALIB).intrinsics
 
 
 class TestKittiLabels:
     def test_single_line(self):
-        rows = parse_kitti_labels(LABEL_LINE)
-        assert len(rows) == 1
-        r = rows[0]
-        assert r.frame == 0 and r.track_id == 2 and r.type == "Car"
-        assert r.location[2] == 15.0
-        assert r.score is None
+        seq, _ = parse_kitti(LABEL_LINE, K)
+        assert (seq.id, seq.frame_rate, seq.intrinsics) == ("kitti", 10.0, K)
+        [frame] = seq.frames
+        [ann] = frame.annotations
+        assert frame.frame_index == 0 and ann.frame_index == 0
+        assert ann.track_id == 2 and ann.occlusion_level == 0
+        assert ann.box3d.center[2] == 15.0
 
     def test_empty_file(self):
-        assert parse_kitti_labels("") == []
-        assert parse_kitti_labels("\n\n") == []
+        for text in ("", "\n\n"):
+            seq, stats = parse_kitti(text, K)
+            assert seq.frames == ()
+            assert (stats.kept, stats.dropped_dontcare,
+                    stats.dropped_category) == (0, 0, 0)
 
     def test_wrong_token_count(self):
         with pytest.raises(ParseError, match="line 1"):
-            parse_kitti_labels(" ".join(LABEL_LINE.split()[:16]))
+            parse_kitti(" ".join(LABEL_LINE.split()[:16]), K)
 
     def test_non_numeric_token_names_field(self):
         bad = LABEL_LINE.replace("15.0", "abc")
         with pytest.raises(ParseError, match="loc_z"):
-            parse_kitti_labels(bad)
+            parse_kitti(bad, K)
+        with pytest.raises(ParseError, match="'score'"):
+            parse_kitti(LABEL_LINE + " high", K)
 
     def test_18_token_score(self):
-        rows = parse_kitti_labels(LABEL_LINE + " 0.9")
-        assert rows[0].score == 0.9
-
-
-CALIB = ("P0: 700 0 620 0 0 700 187 0 0 0 1 0\n"
-         "P2: 700 0 620 0 0 700 187 0 0 0 1 0\n")
+        seq, _ = parse_kitti(LABEL_LINE + " 0.9", K)
+        assert seq.frames[0].annotations == parse_kitti(
+            LABEL_LINE, K)[0].frames[0].annotations
 
 
 class TestKittiCalib:
@@ -52,6 +57,7 @@ class TestKittiCalib:
         res = parse_kitti_calib(CALIB)
         K = res.intrinsics
         assert (K.fx, K.fy, K.cx, K.cy) == (700, 700, 620, 187)
+        assert (K.width, K.height) == (1242, 375)
         assert not res.translation_ignored
 
     def test_translation_flagged(self):
@@ -64,41 +70,40 @@ class TestKittiCalib:
         with pytest.raises(ParseError, match="P2"):
             parse_kitti_calib("P0: 1 0 0 0 0 1 0 0 0 0 1 0\n")
 
+    def test_repeated_p2_names_its_line(self):
+        with pytest.raises(ParseError, match="^line 3: repeated P2 line$"):
+            parse_kitti_calib(CALIB + CALIB.splitlines()[1])
+
 
 class TestKittiConversion:
     def test_bbox_center_conversion(self):
-        seq, _ = kitti_rows_to_sequence(parse_kitti_labels(LABEL_LINE),
-                                        parse_kitti_calib(CALIB).intrinsics)
+        seq, _ = parse_kitti(LABEL_LINE, K)
         ann = seq.frames[0].annotations[0]
         assert (ann.box2d.cx, ann.box2d.cy) == (150, 150)
         assert (ann.box2d.w, ann.box2d.h) == (100, 60)
 
     def test_bottom_center_to_geometric_center(self):
-        seq, _ = kitti_rows_to_sequence(parse_kitti_labels(LABEL_LINE),
-                                        parse_kitti_calib(CALIB).intrinsics)
+        seq, _ = parse_kitti(LABEL_LINE, K)
         ann = seq.frames[0].annotations[0]
         assert ann.box3d.center == pytest.approx((2.0, 0.85, 15.0))
         assert ann.box3d.dims == pytest.approx((4.2, 1.7, 1.5))
 
     def test_dontcare_dropped_and_counted(self):
         text = LABEL_LINE + "\n1 -1 DontCare -1 -1 -10 0 0 10 10 -1 -1 -1 -1000 -1000 -1000 -10"
-        seq, stats = kitti_rows_to_sequence(parse_kitti_labels(text),
-                                            parse_kitti_calib(CALIB).intrinsics)
+        seq, stats = parse_kitti(text, K)
         assert stats.dropped_dontcare == 1
         assert stats.kept == 1
         assert stats.kept + stats.dropped_dontcare + stats.dropped_category == 2
 
     def test_non_vehicle_dropped(self):
         text = LABEL_LINE.replace(" Car ", " Pedestrian ")
-        _, stats = kitti_rows_to_sequence(parse_kitti_labels(text),
-                                          parse_kitti_calib(CALIB).intrinsics)
+        _, stats = parse_kitti(text, K)
         assert stats.dropped_category == 1 and stats.kept == 0
 
     def test_duplicate_rejected(self):
-        # the parser names the repeated row's line, before any conversion
         text = LABEL_LINE + "\n" + LABEL_LINE
         with pytest.raises(ParseError, match="line 2: duplicate"):
-            parse_kitti_labels(text)
+            parse_kitti(text, K)
 
 
 def make_sequence(seed=0, n_frames=4, n_tracks=3, with_masks=True):
@@ -288,6 +293,16 @@ class TestOtherDocuments:
                                     "omitted 0 no-eligible"], 7),
         ("pseudolabels", ["# autolabel3d pseudolabels v1", PL, PLMASK, PL],
          4),
+        ("sequence", [SEQ[0], "sequence sim 10 0", SEQ[2]], 2),
+        ("sequence", SEQ[:2] + [SEQ[2] + " 0"], 3),
+        ("sequence", SEQ + [FRAME + " 0"], 4),
+        ("sparse_labels", SPARSE + ["omitted 0 no-eligible x"], 6),
+        ("metric_report", ["# autolabel3d metricreport v1",
+                           "recall 0.1 0 - 0 0 0 0 1 0"], 2),
+        ("sparse_labels", SPARSE + ["track 0 13 5"], 6),
+        ("sparse_labels", SPARSE + ["track 0 1 2 3 4 5"], 6),
+        ("sparse_labels", SPARSE + ["track 0"], 6),
+        ("sparse_labels", SPARSE[:2] + ["track 0 13"] + SPARSE[2:], 3),
     ], ids=["short-sequence", "short-ann", "ann-before-frame",
             "non-integer-track", "bare-seed", "unknown-tag", "short-pair",
             "plmask-bad-token", "plmask-bad-rle",
@@ -301,7 +316,11 @@ class TestOtherDocuments:
             "repeated-seed-record", "repeated-mota-record",
             "zero-frame-rate", "nan-frame-rate", "inf-frame-rate",
             "omitted-after-track", "track-after-omitted",
-            "repeated-omitted-record", "repeated-pl-record"])
+            "repeated-omitted-record", "repeated-pl-record",
+            "sequence-extra-field", "intrinsics-extra-field",
+            "frame-extra-field", "omitted-extra-field", "recall-extra-field",
+            "track-frames-not-increasing", "track-over-budget", "bare-track",
+            "track-before-max-per-track"])
     def test_malformed_record_names_the_line(self, parse, lines, bad_line):
         with pytest.raises(ParseError, match=rf"^line {bad_line}: "):
             getattr(formats, f"parse_{parse}")("\n".join(lines) + "\n")

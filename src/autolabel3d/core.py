@@ -130,29 +130,33 @@ def _rect_union_area(rects: list[tuple[float, float, float, float]]) -> float:
 
 
 def occlusion_fractions(annotations) -> dict[int, float]:
-    """Fraction of each annotation's 2D box covered by the boxes of strictly
-    nearer ones, for annotations of distinct tracks as a ``Frame`` holds:
-    the union area of those boxes clipped to it, over its area, capped at 1.
-    Keyed by track id."""
-    fractions: dict[int, float] = {}
-    if not annotations:
-        return fractions
-    edges = np.array([(a.box2d.left, a.box2d.top, a.box2d.right,
-                       a.box2d.bottom) for a in annotations])
-    depth = np.array([a.box3d.center[2] for a in annotations])
+    """``covered_fractions`` of the annotations' 2D boxes at their centres'
+    depths, for annotations of distinct tracks as a ``Frame`` holds. Keyed
+    by track id."""
+    return dict(zip([a.track_id for a in annotations], covered_fractions(
+        [a.box2d for a in annotations],
+        [a.box3d.center[2] for a in annotations])))
+
+
+def covered_fractions(boxes: list[Box2D], depths: list[float]) -> list[float]:
+    """Fraction of each 2D box covered by the boxes of strictly nearer ones:
+    the union area of those boxes clipped to it, over its area, capped at 1."""
+    if not boxes:
+        return []
+    edges = np.array([(b.left, b.top, b.right, b.bottom) for b in boxes])
+    depth = np.array(depths)
     # row i: every box clipped to box i
     lo = np.maximum(edges[:, None, :2], edges[None, :, :2])
     hi = np.minimum(edges[:, None, 2:], edges[None, :, 2:])
     covers = (depth[None, :] < depth[:, None]) & (hi > lo).all(axis=2)
-    for i, a in enumerate(annotations):
+    fractions = []
+    for i, b in enumerate(boxes):
         js = np.flatnonzero(covers[i])
         if not len(js):
-            fractions[a.track_id] = 0.0
+            fractions.append(0.0)
             continue
         rects = np.concatenate([lo[i, js], hi[i, js]], axis=1).tolist()
-        tb = a.box2d
-        fractions[a.track_id] = min(_rect_union_area(rects) / (tb.w * tb.h),
-                                    1.0)
+        fractions.append(min(_rect_union_area(rects) / (b.w * b.h), 1.0))
     return fractions
 
 
@@ -398,7 +402,7 @@ class Heatmap:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2:
             raise InvalidArgument("heatmap must be 2D")
-        if v.size and (v.min() < 0.0 or v.max() > 1.0):
+        if v.size and not (v.min() >= 0.0 and v.max() <= 1.0):  # NaN fails
             raise InvalidArgument("heatmap values must lie in [0,1]")
         if self.stride < 1:
             raise InvalidArgument("stride must be >= 1")

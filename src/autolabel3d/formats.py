@@ -327,7 +327,8 @@ def serialize_sparse_labels(sparse) -> str:
 
 
 def parse_sparse_labels(text: str):
-    from .sampling import SparseLabelSet, check_selected_track
+    from .sampling import (SparseLabelSet, check_label_header,
+                           check_selected_track)
 
     head: dict = {}
     selected: dict[int, tuple[int, ...]] = {}
@@ -336,10 +337,9 @@ def parse_sparse_labels(text: str):
     def on_record(tag, f):
         if tag == "sequence":
             head["sequence_id"] = f[0]
-        elif tag in ("max_per_track", "seed"):
-            head[tag] = int(f[0])
-        elif tag == "reduction_ratio":
-            head[tag] = float(f[0])
+        elif tag in ("max_per_track", "seed", "reduction_ratio"):
+            head[tag] = (float if tag == "reduction_ratio" else int)(f[0])
+            check_label_header(tag, head[tag])
         elif tag in ("track", "omitted"):
             track_id = int(f[0])
             if track_id in selected or track_id in omitted:
@@ -471,6 +471,11 @@ def parse_weight_maps(text: str) -> dict[int, Heatmap]:
             raise ParseError(f"line {lineno}: malformed frame record: {e}") from None
         if rows < 0 or cols < 0:
             raise ParseError(f"line {lineno}: negative frame size {rows}x{cols}")
+        if frame_index < 0:
+            raise ParseError(f"line {lineno}: negative frame {frame_index}")
+        if frame_index in weights:
+            raise ParseError(f"line {lineno}: repeated frame {frame_index}")
+        head_line = lineno
         values = []
         for r in range(rows):
             lineno = i + 2
@@ -487,7 +492,11 @@ def parse_weight_maps(text: str) -> dict[int, Heatmap]:
             values.append(row)
             i += 1
         grid = np.array(values, dtype=float).reshape(rows, cols)
-        weights[frame_index] = Heatmap(values=grid, stride=stride)
+        try:
+            weights[frame_index] = Heatmap(values=grid, stride=stride)
+        except InvalidArgument as e:
+            raise ParseError(f"line {head_line}: frame {frame_index}: {e}") \
+                from None
     return weights
 
 

@@ -46,6 +46,19 @@ def check_selected_track(track_id: int, frames: tuple[int, ...],
         raise InvalidArgument(f"track {track_id}: over budget")
 
 
+_LABEL_HEADER_RANGES = {"max_per_track": (1, math.inf), "seed": (0, math.inf),
+                        "reduction_ratio": (0.0, 1.0)}
+
+
+def check_label_header(name: str, value: float) -> None:
+    """A sparse label set's header value lies in its range (NaN does not):
+    ``max_per_track`` >= 1, ``seed`` >= 0, ``reduction_ratio`` in [0, 1]."""
+    lo, hi = _LABEL_HEADER_RANGES[name]
+    if not lo <= value <= hi:
+        bound = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+        raise InvalidArgument(f"{name} must be {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SparseLabelSet:
     sequence_id: str
@@ -56,6 +69,8 @@ class SparseLabelSet:
     reduction_ratio: float
 
     def __post_init__(self):
+        for name in _LABEL_HEADER_RANGES:
+            check_label_header(name, getattr(self, name))
         both = self.selected.keys() & {t for t, _ in self.omitted}
         if both:
             raise InvalidArgument(f"track {min(both)} is both selected and "
@@ -95,8 +110,6 @@ def sample_sparse(seq: Sequence, max_per_track: int = DEFAULT_MAX_PER_TRACK,
     The uniform-spacing rule is fully deterministic; `seed` is recorded so
     downstream artifacts echo the run configuration.
     """
-    if max_per_track < 1:
-        raise InvalidArgument("max_per_track must be >= 1")
     selected: dict[int, tuple[int, ...]] = {}
     omitted: list[tuple[int, str]] = []
     kept = 0

@@ -8,19 +8,34 @@ World frame: X right, Y down (gravity), Z forward, with the camera at
 Y = 0 and the ground plane at Y = camera_height. Planar headings are given
 by an angle phi with direction vector (sin phi, 0, cos phi), so phi = 0
 means driving along +Z.
+
+A frame is built in a few array passes over its objects and has the bits
+that one object at a time gives. Its camera-frame centres and headings are
+one ``(N, 3) @ rot.T`` each, where one object needs ``rot @ v``. numpy's
+kernels for the two differ only in which of the first two products of a
+row they add first, and adding it is exact here: each row of a rotation
+about Y is (c, 0, -s), (0, 1, 0) or (s, 0, c), so one of those products is
+zero or a factor itself (``TestBatchedRotation`` pins this). Corners,
+projections and clipped box edges are elementwise ``*``, ``+``, ``/``,
+``min`` and ``max`` in ``geometry.project``'s order, which round each
+element alike in any array shape. Angles go through ``math`` one object at
+a time, since numpy's ``sin``, ``cos`` and ``arctan2`` can round otherwise.
+A frame's masks are rasterised in one pass (``_hull_masks``), and each
+annotation is built once, its occlusion computed from its boxes first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
 from .core import (Annotation, Box2D, Box3D, CameraIntrinsics, Frame,
-                   InvalidArgument, Mask2D, Sequence, normalize_yaw,
-                   occlusion_fractions)
+                   InvalidArgument, Mask2D, Sequence, covered_fractions,
+                   normalize_yaw)
 from .geometry import direction_at
 
 DEFAULT_INTRINSICS = dict(fx=721.54, fy=721.54, cx=609.56, cy=172.85,
@@ -103,95 +118,158 @@ class SimConfig:
                                       f"got {getattr(self, name)!r}")
 
 
-@dataclass
-class _ObjectState:
-    track_id: int
-    x: float
-    z: float
-    phi: float        # world heading angle
-    speed: float
-    omega: float      # turn rate (0 for CV)
-    dims: tuple[float, float, float]  # (l, w, h)
-
-
 def _convex_hull(points: np.ndarray) -> list[tuple[float, float]]:
     """Monotone-chain hull of 2D points, counterclockwise, from the
     lexicographically sorted distinct points (all of them when at most 2)."""
     pts = sorted(set(map(tuple, points.tolist())))
     if len(pts) <= 2:
         return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
     lower, upper = [], []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    for p in pts[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
+    for chain, ordered in ((lower, pts), (upper, reversed(pts))):
+        for p in ordered:
+            px, py = p
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                # pop while o -> a -> p does not turn left
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0:
+                    chain.pop()
+                else:
+                    break
+            chain.append(p)
     return lower[:-1] + upper[:-1]
 
 
-def _hull_mask(corners_uv: np.ndarray, left: int, top: int,
-               w: int, h: int) -> Optional[Mask2D]:
-    """Pixels of the ``w x h`` window at (left, top) whose centre
-    ``(u, v) = (left + 0.5 + col, top + 0.5 + row)`` passes the test
-    ``(bx-ax)*(v-ay) - (by-ay)*(u-ax) >= 0`` of every hull edge a -> b.
+def _hull_masks(hulls: list[list[tuple[float, float]]],
+                windows: list[tuple[int, int, int, int]]
+                ) -> list[Optional[Mask2D]]:
+    """The mask of each hull in its ``(left, top, w, h)`` window: the pixels
+    whose centre ``(u, v) = (left + 0.5 + col, top + 0.5 + row)`` passes the
+    test ``(bx-ax)*(v-ay) - (by-ay)*(u-ax) >= 0`` of every hull edge
+    a -> b, bit for bit (None for a hull of fewer than 3 points, or for no
+    such pixel).
 
-    Each row is filled as one column span ``[lo, hi)``, with one
-    ``searchsorted`` per edge, and the mask is the full-grid test's bit for
-    bit. With ``A[row] = (bx-ax)*(v-ay)`` and ``B[col] = (by-ay)*(u-ax)``,
-    rounded exactly as the full-grid expression rounds them, the test is
-    ``fl(A - B) >= 0``, which for finite doubles holds iff ``A >= B``:
+    With ``A = (bx-ax)*(v-ay)`` and ``B(col) = (by-ay)*(u-ax)``, each
+    rounded exactly as that expression rounds it (``u`` and ``v`` are exact
+    half-integers), the test ``fl(A - B) >= 0`` holds iff ``B <= A``:
     rounding keeps the sign of a difference, and with gradual underflow
     ``A - B`` rounds to 0 only when ``A == B``. Correctly rounded ``-`` and
-    ``*`` by a constant are monotone, so ``B`` is non-decreasing in the
-    column when ``by-ay >= 0`` and the edge keeps the prefix of the row where
-    ``B <= A``, and it is non-increasing otherwise and the edge keeps a
-    suffix.
+    ``*`` by a constant are monotone, so ``B`` is monotone in the column:
+    a horizontal edge (``by-ay == 0``) keeps all of a row or none of it, and
+    any other edge a prefix of the row (``by-ay > 0``) or a suffix. Every
+    (edge, row) pair of every window is one array element. The prefix or
+    suffix length is estimated by division, then the exact ``B <= A`` test
+    at the boundary column and at the one before it moves the boundary by
+    one column, until no boundary moves: each move goes toward the unique
+    boundary of a monotone test, so what is left is that boundary. A row's
+    span ``[lo, hi)`` is its prefixes and suffixes intersected.
 
-    The counts follow with no bitmap. Row ``r``'s span is the row-major
-    run ``[r*w + lo, r*w + hi)``, so the runs' bounds increase, except that
-    a run ending at column ``w`` ends where the next row's run starting at
-    column 0 starts. Dropping that bound twice joins the two runs. From 0
-    through the rest of the bounds, the differences are then a first skip
-    >= 0 and counts > 0, a last skip is added only when > 0, and the counts
-    are ``rle_encode`` of the full-grid bitmap.
+    Row ``r``'s span is the row-major run ``[r*w + lo, r*w + hi)``, so a
+    mask's run bounds increase, except that a run ending at column ``w``
+    ends where the next row's run starting at column 0 starts. That bound
+    is dropped twice, joining the runs, only within one mask. The bounds'
+    differences from 0 are then a first skip >= 0 and counts > 0, a last
+    skip is added only when > 0, and the counts are ``rle_encode`` of the
+    full-grid bitmap.
     """
-    hull = _convex_hull(corners_uv)
-    if len(hull) < 3:
-        return None
-    # edge k runs from a = hull[k] to b = hull[k + 1], wrapping around
-    a = np.array(hull)
-    d = np.array(hull[1:] + hull[:1]) - a                     # (bx-ax, by-ay)
-    rows = d[:, :1] * (top + 0.5 + np.arange(h) - a[:, 1:])   # A of each edge
-    cols = d[:, 1:] * (left + 0.5 + np.arange(w) - a[:, :1])  # B of each edge
-    lo = np.zeros(h, dtype=np.intp)
-    hi = np.full(h, w, dtype=np.intp)
-    for k, dy in enumerate(d[:, 1].tolist()):
-        if dy >= 0:
-            np.minimum(hi, cols[k].searchsorted(rows[k], "right"), out=hi)
-        else:
-            np.maximum(lo, w - cols[k, ::-1].searchsorted(rows[k], "right"),
-                       out=lo)
-    r = np.flatnonzero(hi > lo)
-    if not len(r):
-        return None
-    bounds = np.zeros(2 * len(r) + 1, dtype=np.intp)
-    bounds[1::2], bounds[2::2] = r * w + lo[r], r * w + hi[r]
+    masks: list[Optional[Mask2D]] = [None] * len(hulls)
+    live = [i for i, hull in enumerate(hulls) if len(hull) >= 3]
+    if not live:
+        return masks
+    win = np.array([windows[i] for i in live])
+    lo, hi = _row_spans([hulls[i] for i in live], win)
+    kept = np.flatnonzero(hi > lo)
+    if not len(kept):
+        return masks
+    rows0 = np.array(list(accumulate(win[:, 3].tolist(), initial=0)))
+    j = np.repeat(np.arange(len(live)), win[:, 3])[kept]
+    base = (kept - rows0[j]) * win[j, 2]
+    bounds = np.empty(2 * len(kept), dtype=np.intp)
+    bounds[0::2], bounds[1::2] = base + lo[kept], base + hi[kept]
+    j = np.repeat(j, 2)
     keep = np.ones(len(bounds), dtype=bool)  # drop each end a start shares
-    keep[2:-1:2] = keep[3::2] = bounds[2:-1:2] != bounds[3::2]
-    counts = np.diff(bounds[keep]).tolist()
-    if bounds[-1] < w * h:
-        counts.append(w * h - int(bounds[-1]))
-    return Mask2D(origin=(left, top), shape=(h, w), counts=tuple(counts))
+    keep[1:-1:2] = keep[2::2] = ((bounds[1:-1:2] != bounds[2::2])
+                                 | (j[1:-1:2] != j[2::2]))
+    bounds, j = bounds[keep], j[keep]
+    starts = np.flatnonzero(np.append(True, j[1:] != j[:-1]))
+    counts = np.append(bounds[0], np.diff(bounds))
+    counts[starts] = bounds[starts]
+    ends = np.append(starts[1:], len(bounds))
+    tails = (win[:, 2] * win[:, 3])[j[starts]] - bounds[ends - 1]
+    counts = counts.tolist()
+    for m, s, e, tail in zip(j[starts].tolist(), starts.tolist(),
+                             ends.tolist(), tails.tolist()):
+        run = counts[s:e]
+        if tail:
+            run.append(tail)
+        il, it, iw, ih = windows[live[m]]
+        masks[live[m]] = Mask2D(origin=(il, it), shape=(ih, iw),
+                                counts=tuple(run))
+    return masks
 
 
-def _spawn_objects(cfg: SimConfig, rng: np.random.Generator) -> list[_ObjectState]:
+def _row_spans(hulls: list[list[tuple[float, float]]],
+               win: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``lo`` and ``hi`` of each row of the ``(left, top, w, h)`` windows,
+    one window's rows after another's: the columns ``[lo, hi)`` whose pixel
+    passes every edge of the window's hull (at least 3 points), as
+    ``_hull_masks`` says."""
+    # edge k of a hull runs from a = hull[k] to b = hull[k + 1], wrapping
+    n = [len(hull) for hull in hulls]
+    first = np.array(list(accumulate(n, initial=0)))
+    a = np.array([p for hull in hulls for p in hull])
+    nxt = np.arange(1, len(a) + 1)
+    nxt[first[1:] - 1] = first[:-1]
+    d = a[nxt] - a                                       # (bx-ax, by-ay)
+    # the horizontal edges, then the other prefix edges, then the suffix
+    # edges, each with its window
+    kind = np.where(d[:, 1] < 0, 2, d[:, 1] != 0)
+    order = np.argsort(kind, kind="stable")
+    owner = np.repeat(np.arange(len(hulls)), n)[order]
+    ax, ay = a[order].T
+    dx, dy = d[order].T
+    left, top, w, he = win[owner].T
+    # one element per (edge, row of its window), an edge's rows together
+    pstart = np.array(list(accumulate(he.tolist(), initial=0)))
+    nflat, nprefix = np.searchsorted(kind[order], [1, 2])
+    flat, split, npair = pstart[[nflat, nprefix, -1]]
+    rowid = np.arange(npair) - np.repeat(pstart[:-1], he)  # in its window
+    A = np.repeat(top + 0.5, he) + rowid
+    A -= np.repeat(ay, he)
+    A *= np.repeat(dx, he)
+    col = np.empty(npair)  # the prefix or suffix boundary
+    col[:flat] = np.where(A[:flat] >= 0, np.repeat(w[:nflat], he[:nflat]), 0)
+    u0, bx, by, bw = (np.repeat(v[nflat:], he[nflat:])
+                      for v in (left + 0.5, ax, dy, w.astype(float)))
+    bA, prefix, c = A[flat:], np.arange(flat, npair) < split, col[flat:]
+    np.divide(bA, by, out=c)
+    c += bx
+    c -= u0
+    np.minimum(np.maximum(np.ceil(c, out=c), 0.0, out=c), bw, out=c)
+    todo = np.s_[:]  # all pairs (as views), then the pairs that moved
+    while True:
+        cc, p = c[todo], prefix[todo]
+        u = u0[todo] + cc
+        up = (by[todo] * (u - bx[todo]) <= bA[todo]) == p
+        down = (by[todo] * ((u - 1.0) - bx[todo]) <= bA[todo]) != p
+        step = np.minimum(np.maximum(cc + up - down, 0.0), bw[todo]) - cc
+        c[todo] += step
+        todo = np.arange(len(c))[todo][step != 0]
+        if not len(todo):
+            break
+    col = col.astype(np.intp)
+    rows0 = np.array(list(accumulate(win[:, 3].tolist(), initial=0)))
+    rowid += np.repeat(rows0[owner], he)  # in all windows' rows
+    hi = np.repeat(win[:, 2], win[:, 3])
+    np.minimum.at(hi, rowid[:split], col[:split])
+    lo = np.zeros(len(hi), dtype=np.intp)
+    np.maximum.at(lo, rowid[split:], col[split:])
+    return lo, hi
+
+
+def _spawn_objects(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
+    """One row ``(x, z, phi, speed, omega, l, w, h)`` per object, the row
+    index being its track id: world position, heading angle, speed, turn
+    rate (0 for CV) and dimensions."""
     objects = []
     for i in range(cfg.object_count):
         dims = (float(rng.uniform(*cfg.length_range)),
@@ -203,8 +281,7 @@ def _spawn_objects(cfg: SimConfig, rng: np.random.Generator) -> list[_ObjectStat
             f = i / max(cfg.object_count - 1, 1)
             x = cfg.spawn_x[0] + f * (cfg.spawn_x[1] - cfg.spawn_x[0])
             z = cfg.spawn_z[0] + f * (cfg.spawn_z[1] - cfg.spawn_z[0])
-            objects.append(_ObjectState(i, x, z, phi=0.0, speed=cfg.ego_speed,
-                                        omega=0.0, dims=dims))
+            objects.append((x, z, 0.0, cfg.ego_speed, 0.0, *dims))
             continue
         x = float(rng.uniform(*cfg.spawn_x))
         z = float(rng.uniform(*cfg.spawn_z))
@@ -219,8 +296,8 @@ def _spawn_objects(cfg: SimConfig, rng: np.random.Generator) -> list[_ObjectStat
         else:
             ctrv = bool(rng.random() < 0.5)
         omega = float(rng.uniform(*cfg.turn_rate)) if ctrv else 0.0
-        objects.append(_ObjectState(i, x, z, phi, speed, omega, dims))
-    return objects
+        objects.append((x, z, phi, speed, omega, *dims))
+    return np.array(objects, dtype=float)
 
 
 def simulate(cfg: SimConfig) -> Sequence:
@@ -228,6 +305,12 @@ def simulate(cfg: SimConfig) -> Sequence:
     K = CameraIntrinsics(**cfg.intrinsics)
     dt = 1.0 / cfg.frame_rate
     objects = _spawn_objects(cfg, rng)
+    x, z, phi, speed, omega = objects[:, :5].T
+    dims = objects[:, 5:]
+    half = dims / 2                                     # (l/2, w/2, h/2)
+    y = cfg.camera_height - dims[:, 2] / 2.0
+    zero = np.zeros_like(x)
+    up = np.array([0.0, 1.0, 0.0])
 
     ego_x, ego_z, ego_phi = 0.0, 0.0, 0.0
     ego_omega = (cfg.ego_speed / cfg.ego_arc_radius
@@ -236,80 +319,75 @@ def simulate(cfg: SimConfig) -> Sequence:
     frames = []
     for t in range(cfg.duration):
         cos_e, sin_e = math.cos(ego_phi), math.sin(ego_phi)
-        # camera axes in world coordinates
-        x_axis = np.array([cos_e, 0.0, -sin_e])
-        y_axis = np.array([0.0, 1.0, 0.0])
-        z_axis = np.array([sin_e, 0.0, cos_e])
-        rot = np.stack([x_axis, y_axis, z_axis])  # world->camera rotation
+        # world->camera rotation, its rows the camera axes in world
+        # coordinates (see the module docstring for the batched products)
+        rot = np.array([[cos_e, 0.0, -sin_e], [0.0, 1.0, 0.0],
+                        [sin_e, 0.0, cos_e]])
         ego_t = np.array([ego_x, 0.0, ego_z])
         pose = np.hstack([rot, (-rot @ ego_t).reshape(3, 1)])
 
-        anns: list[Annotation] = []
-        for obj in objects:
-            l, w, h = obj.dims
-            center_w = np.array([obj.x, cfg.camera_height - h / 2.0, obj.z])
-            center_c = rot @ (center_w - ego_t)
-            if center_c[2] <= cfg.min_depth:
-                continue
-            head_w = np.array([math.sin(obj.phi), 0.0, math.cos(obj.phi)])
-            hc = rot @ head_w
-            yaw = math.atan2(-hc[2], hc[0])
-            heading = np.array([math.cos(yaw), 0.0, -math.sin(yaw)])
-            lateral = np.array([math.sin(yaw), 0.0, math.cos(yaw)])
-            up = np.array([0.0, 1.0, 0.0])
-            corners = (center_c + _SIGNS[:, :1] * (l / 2) * heading
-                       + _SIGNS[:, 1:2] * (w / 2) * lateral
-                       + _SIGNS[:, 2:] * (h / 2) * up)
-            if corners[:, 2].min() <= 0.1:
-                continue
-            # geometry.project, one corner per row
-            uv = np.stack([K.fx * corners[:, 0] / corners[:, 2] + K.cx,
-                           K.fy * corners[:, 1] / corners[:, 2] + K.cy],
-                          axis=1)
-            left = max(uv[:, 0].min(), 0.0)
-            right = min(uv[:, 0].max(), float(K.width))
-            top = max(uv[:, 1].min(), 0.0)
-            bottom = min(uv[:, 1].max(), float(K.height))
-            if right - left <= 1.0 or bottom - top <= 1.0:
-                continue
-            box2d = Box2D.from_corners(left, top, right, bottom)
+        sin_p = np.array([math.sin(p) for p in phi.tolist()])
+        cos_p = np.array([math.cos(p) for p in phi.tolist()])
+        centers = (np.stack([x, y, z], axis=1) - ego_t) @ rot.T
+        ids = np.flatnonzero(centers[:, 2] > cfg.min_depth)
+        hc = np.stack([sin_p[ids], zero[ids], cos_p[ids]], axis=1) @ rot.T
+        yaws = [math.atan2(-hz, hx) for hx, hz in hc[:, ::2].tolist()]
+        cos_y = np.array([math.cos(v) for v in yaws])
+        sin_y = np.array([math.sin(v) for v in yaws])
+        heading = np.stack([cos_y, zero[ids], -sin_y], axis=1)[:, None]
+        lateral = np.stack([sin_y, zero[ids], cos_y], axis=1)[:, None]
+        hl, hw, hh = half[ids].T[:, :, None, None]
+        corners = (centers[ids, None] + _SIGNS[:, :1] * hl * heading
+                   + _SIGNS[:, 1:2] * hw * lateral + _SIGNS[:, 2:] * hh * up)
+        # geometry.project of every corner (one behind the camera may divide
+        # by a depth of 0); boxes with a corner at depth <= 0.1 or clipped
+        # to 1 px or less are not annotated
+        front = corners[:, :, 2].min(axis=1) > 0.1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            uv = np.stack([K.fx * corners[..., 0] / corners[..., 2] + K.cx,
+                           K.fy * corners[..., 1] / corners[..., 2] + K.cy],
+                          axis=2)
+            lt = np.maximum(uv.min(axis=1), 0.0)
+            rb = np.minimum(uv.max(axis=1), [float(K.width), float(K.height)])
+            sel = np.flatnonzero(front & ((rb - lt) > 1.0).all(axis=1))
+        edges = np.concatenate([lt[sel], rb[sel]], axis=1)
 
+        boxes, box3ds, tracks = [], [], ids[sel].tolist()
+        for (left, top, right, bottom), i, k in zip(edges.tolist(), tracks,
+                                                    sel.tolist()):
+            boxes.append(Box2D.from_corners(left, top, right, bottom))
             # the center and yaw Box3D stores, which direction_at must see
-            center = tuple(float(c) for c in center_c)
-            yaw = normalize_yaw(yaw)
-            box3d = Box3D(center=center, dims=(l, w, h), yaw=yaw,
-                          direction=direction_at(center, yaw))
-
-            mask = None
-            if cfg.with_masks:
-                il, it = int(math.floor(left)), int(math.floor(top))
-                iw = max(int(math.ceil(right)) - il, 1)
-                ih = max(int(math.ceil(bottom)) - it, 1)
-                mask = _hull_mask(uv, il, it, iw, ih)
-            anns.append(Annotation(frame_index=t, track_id=obj.track_id,
-                                   box2d=box2d, box3d=box3d,
-                                   occlusion_level=0, mask=mask))
-
-        # occlusion needs every annotation in the frame
-        fractions = occlusion_fractions(anns)
-        final = tuple(replace(
-            a, occlusion_level=occlusion_level(fractions[a.track_id]),
-            visibility=visibility_from_fraction(fractions[a.track_id]))
-            for a in anns)
-        frame = Frame(frame_index=t, ego_pose=pose, annotations=final)
+            center = tuple(centers[i].tolist())
+            yaw = normalize_yaw(yaws[k])
+            box3ds.append(Box3D(center=center, dims=tuple(dims[i].tolist()),
+                                yaw=yaw, direction=direction_at(center, yaw)))
+        masks = [None] * len(boxes)
+        if cfg.with_masks:
+            windows = np.concatenate([np.floor(edges[:, :2]),
+                                      np.ceil(edges[:, 2:])], axis=1)
+            windows[:, 2:] = np.maximum(windows[:, 2:] - windows[:, :2], 1)
+            masks = _hull_masks([_convex_hull(uv[k]) for k in sel],
+                                [tuple(r) for r in
+                                 windows.astype(int).tolist()])
+        fractions = covered_fractions(boxes, [b.center[2] for b in box3ds])
+        frame = Frame(frame_index=t, ego_pose=pose, annotations=tuple(
+            Annotation(frame_index=t, track_id=i, box2d=b2, box3d=b3,
+                       occlusion_level=occlusion_level(f), mask=m,
+                       visibility=visibility_from_fraction(f))
+            for i, b2, b3, m, f in zip(tracks, boxes, box3ds, masks,
+                                       fractions)))
         # the fractions of the same boxes and depths: store them in the
         # slot of the cached property rather than compute them again
-        frame.__dict__["occlusion"] = fractions
+        frame.__dict__["occlusion"] = dict(zip(tracks, fractions))
         frames.append(frame)
 
         # step kinematics
         ego_x += cfg.ego_speed * math.sin(ego_phi) * dt
         ego_z += cfg.ego_speed * math.cos(ego_phi) * dt
         ego_phi += ego_omega * dt
-        for obj in objects:
-            obj.x += obj.speed * math.sin(obj.phi) * dt
-            obj.z += obj.speed * math.cos(obj.phi) * dt
-            obj.phi += obj.omega * dt
+        x = x + speed * sin_p * dt
+        z = z + speed * cos_p * dt
+        phi = phi + omega * dt
 
     if not any(f.annotations for f in frames):
         raise InvalidArgument(

@@ -225,6 +225,16 @@ def append_field(tag):
     return edit
 
 
+def set_header(tag, value, message):
+    def edit(lines):
+        """Give the ``tag`` header record another value."""
+        i = next(i for i, line in enumerate(lines)
+                 if line.startswith(f"{tag} "))
+        lines[i] = f"{tag} {value}"
+        return i + 1, f"malformed {tag!r} record: {tag} must be {message}"
+    return edit
+
+
 def set_track_0(frames, message):
     def edit(lines):
         """Give the ``track 0`` record other frames."""
@@ -321,9 +331,16 @@ class TestStepwise:
         ("sparse_labels.txt", "pseudolabel",
          set_track_0("1 2 3 4 5 6", "over budget")),
         ("sparse_labels.txt", "pseudolabel", set_track_0("", "no frames")),
+        ("sparse_labels.txt", "pseudolabel",
+         set_header("reduction_ratio", "nan", "in [0.0, 1.0], got nan")),
+        ("sparse_labels.txt", "pseudolabel",
+         set_header("seed", "-4", ">= 0, got -4")),
+        ("sparse_labels.txt", "pseudolabel",
+         set_header("max_per_track", "0", ">= 1, got 0")),
     ], ids=["frame-extra-field", "sequence-extra-field", "ann-extra-field",
             "seed-extra-field", "pl-extra-field", "track-not-increasing",
-            "track-over-budget", "bare-track"])
+            "track-over-budget", "bare-track", "nan-reduction-ratio",
+            "negative-seed", "zero-max-per-track"])
     def test_refused_record_names_file_and_line(self, tmp_path, capsys,
                                                 name, stage, edit):
         edit_and_run(tmp_path, capsys, name, stage, edit)

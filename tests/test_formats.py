@@ -222,9 +222,15 @@ class TestOtherDocuments:
         (["frame 0 2 3", "0.5 0.5 0.5", "0.5 0.5 0.5"], 2),
         (["frame 0 -1 3 4"], 2),
         (["frame 0 1000000000 1000000000 4", "0.5"], 3),
+        (["frame 0 1 1 4", "0.5", "frame 0 1 1 4", "0.25"], 4),
+        (["frame -3 1 1 4", "0.5"], 2),
+        (["frame 0 1 1 4", "0.5", "frame 1 2 2 4", "0.5 0.5", "0.5 nan"], 4),
+        (["frame 0 1 2 4", "0.5 1.5"], 2),
+        (["frame 0 1 1 0", "0.5"], 2),
     ], ids=["too-few-values", "too-many-values", "missing-row",
             "non-float-token", "short-frame-record", "negative-size",
-            "size-beyond-the-text"])
+            "size-beyond-the-text", "repeated-frame", "negative-frame",
+            "nan-weight", "weight-above-one", "zero-stride"])
     def test_weight_maps_parse_error_names_the_line(self, body, bad_line):
         text = "\n".join(["# autolabel3d weightmaps v1"] + body) + "\n"
         with pytest.raises(ParseError, match=rf"^line {bad_line}: "):
@@ -303,6 +309,11 @@ class TestOtherDocuments:
         ("sparse_labels", SPARSE + ["track 0 1 2 3 4 5"], 6),
         ("sparse_labels", SPARSE + ["track 0"], 6),
         ("sparse_labels", SPARSE[:2] + ["track 0 13"] + SPARSE[2:], 3),
+        ("sparse_labels", SPARSE[:4] + ["reduction_ratio nan"], 5),
+        ("sparse_labels", SPARSE[:4] + ["reduction_ratio 1.5"], 5),
+        ("sparse_labels", SPARSE[:4] + ["reduction_ratio -0.1"], 5),
+        ("sparse_labels", SPARSE[:3] + ["seed -4"] + SPARSE[4:], 4),
+        ("sparse_labels", SPARSE[:2] + ["max_per_track 0"] + SPARSE[3:], 3),
     ], ids=["short-sequence", "short-ann", "ann-before-frame",
             "non-integer-track", "bare-seed", "unknown-tag", "short-pair",
             "plmask-bad-token", "plmask-bad-rle",
@@ -320,7 +331,9 @@ class TestOtherDocuments:
             "sequence-extra-field", "intrinsics-extra-field",
             "frame-extra-field", "omitted-extra-field", "recall-extra-field",
             "track-frames-not-increasing", "track-over-budget", "bare-track",
-            "track-before-max-per-track"])
+            "track-before-max-per-track", "nan-reduction-ratio",
+            "reduction-ratio-above-one", "negative-reduction-ratio",
+            "negative-seed", "zero-max-per-track"])
     def test_malformed_record_names_the_line(self, parse, lines, bad_line):
         with pytest.raises(ParseError, match=rf"^line {bad_line}: "):
             getattr(formats, f"parse_{parse}")("\n".join(lines) + "\n")
@@ -366,9 +379,9 @@ def per_cell_weight_maps(weights):
     return "\n".join(out) + "\n"
 
 
-# in [0, 1] as a Heatmap requires, plus NaN, subnormals and both zeros
+# in [0, 1] as a Heatmap requires, with subnormals and both zeros
 WEIGHT_CELLS = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
-    [-0.0, 0.0, 1.0, math.nan, 5e-324, 2.2e-308, np.nextafter(1.0, 0.0)]))
+    [-0.0, 0.0, 1.0, 5e-324, 2.2e-308, np.nextafter(1.0, 0.0)]))
 
 
 @st.composite
@@ -404,7 +417,7 @@ def fixed_weight_maps():
     map and an all-ones map, in unsorted frame order."""
     from autolabel3d.core import Heatmap
     rng = np.random.default_rng(3)
-    special = np.array([-0.0, 0.0, 1.0, math.nan, 5e-324, 2.2e-308,
+    special = np.array([-0.0, 0.0, 1.0, 5e-324, 2.2e-308,
                         np.nextafter(1.0, 0.0)])
     mixed = rng.random((7, 11))
     mixed.flat[rng.integers(0, mixed.size, 40)] = rng.choice(special, 40)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -117,6 +118,24 @@ def test_a_track_both_selected_and_omitted_is_rejected():
         replace(sparse_with(seq, [0, 3]),
                 omitted=((2, "no-eligible-frames"),
                          (0, "no-eligible-frames")))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("max_per_track", 0, "max_per_track must be >= 1, got 0"),
+    ("seed", -4, "seed must be >= 0, got -4"),
+    ("reduction_ratio", math.nan, r"reduction_ratio must be in \[0.0, 1.0\], "
+                                  "got nan"),
+    ("reduction_ratio", 1.5, "reduction_ratio must be in"),
+    ("reduction_ratio", -0.25, "reduction_ratio must be in"),
+], ids=["zero-budget", "negative-seed", "nan-ratio", "ratio-above-one",
+        "negative-ratio"])
+def test_header_values_are_checked_with_no_track(field, value, message):
+    from autolabel3d.sampling import SparseLabelSet
+    fields = dict(sequence_id="sim", selected={}, omitted=(), max_per_track=4,
+                  seed=0, reduction_ratio=0.0)
+    SparseLabelSet(**fields)
+    with pytest.raises(InvalidArgument, match=message):
+        SparseLabelSet(**fields | {field: value})
 
 
 def brute_force_counts(labeled, unlabeled, window):

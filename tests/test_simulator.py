@@ -1,17 +1,54 @@
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from autolabel3d.core import (Annotation, Box2D, Box3D, InvalidArgument,
                               _rect_union_area, occlusion_fractions,
                               rle_encode)
 from autolabel3d.formats import serialize_sequence
 from autolabel3d.geometry import heading_vector
-from autolabel3d.simulator import (SimConfig, _convex_hull, _hull_mask,
+from autolabel3d.simulator import (SimConfig, _convex_hull, _hull_masks,
                                    occlusion_level, simulate,
                                    visibility_from_fraction)
+
+
+DATA = Path(__file__).parent / "data"
+
+# the perfbench scenes' vehicle sizes
+VEHICLES = dict(length_range=(4.0, 5.0), width_range=(1.7, 1.9),
+                height_range=(1.5, 1.7))
+# the configs of tests/data/sim_digests.txt, by name
+SIM_DIGEST_CONFIGS = {
+    # mixed CV/CTRV traffic, some of it oncoming, passing the camera
+    "random-oncoming": dict(seed=3, duration=40, object_count=10),
+    # spawned behind and beside the camera: the min_depth and corner-depth
+    # skips fire, and boxes enter the image clipped
+    "ctrv-behind-camera": dict(
+        seed=5, duration=50, object_count=10,
+        motion_model="constant-turn-rate-velocity", turn_rate=(-0.3, 0.3),
+        spawn_z=(-15.0, 30.0)),
+    # perfbench's crowded e2e scene
+    "crowded-arc": dict(
+        seed=7919, duration=36, object_count=28, layout="grid",
+        ego_motion="arc", ego_arc_radius=40.0, spawn_x=(-12.0, 36.0),
+        spawn_z=(12.0, 66.0), **VEHICLES),
+    # perfbench's long noiseless e2e scene
+    "long-grid": dict(seed=7919, duration=120, object_count=6,
+                      layout="grid", **VEHICLES),
+    "negative-arc": dict(seed=2, duration=40, object_count=8,
+                         ego_motion="arc", ego_arc_radius=-30.0),
+    "no-masks": dict(seed=4, duration=30, object_count=8, with_masks=False),
+    # a small image: most boxes are clipped at its edges
+    "small-image": dict(
+        seed=6, duration=30, object_count=8, spawn_z=(3.0, 30.0),
+        intrinsics=dict(fx=300.0, fy=300.0, cx=160.0, cy=60.0, width=320,
+                        height=120)),
+    "default": dict(),
+}
 
 
 def ann(track_id, box2d, z):
@@ -83,6 +120,30 @@ def hull_inputs(draw):
     return np.array(pts, dtype=float), left, top, w, h
 
 
+def hull_mask(points, left, top, w, h):
+    """``_hull_masks`` of one hull and window."""
+    return _hull_masks([_convex_hull(points)], [(left, top, w, h)])[0]
+
+
+def assert_full_grid(got, points, left, top, w, h):
+    want = full_grid_mask(points, left, top, w, h)
+    if want is None:
+        assert got is None
+    else:
+        assert got.origin == (left, top)
+        assert np.array_equal(got.bitmap, want)
+        assert got.counts == tuple(rle_encode(want))
+
+
+SQUARE = np.array([[-1.0, -1.0], [9.0, -1.0], [9.0, 9.0], [-1.0, 9.0]])
+LOWER = SQUARE + [0.0, 2.0]  # its top edge at y = 1
+# a window whose last row is full, then one whose first run starts where
+# that run ends: at local row-major offsets (first pair) and at offsets
+# running on from one window to the next (second pair)
+TOUCHING = [(SQUARE, 0, 0, 5, 1), (LOWER, 0, 0, 5, 3), (SQUARE, 0, 0, 5, 4),
+            (SQUARE, 0, 0, 5, 12), (SQUARE, 0, 3, 12, 2)]
+
+
 class TestHullMask:
     @settings(max_examples=400, deadline=None)
     @given(hull_inputs())
@@ -91,28 +152,50 @@ class TestHullMask:
         hull = np.array(_convex_hull(points)).reshape(-1, 2)
         want_hull = unique_hull(points)
         assert np.array_equal(hull.view(np.uint64), want_hull.view(np.uint64))
-        got = _hull_mask(points, left, top, w, h)
-        want = full_grid_mask(points, left, top, w, h)
-        if want is None:
-            assert got is None
-        else:
-            assert got.origin == (left, top)
-            assert np.array_equal(got.bitmap, want)
-            assert got.counts == tuple(rle_encode(want))
+        assert_full_grid(hull_mask(*case), *case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(hull_inputs(), max_size=8))
+    @example(TOUCHING)
+    def test_one_call_equals_each_full_grid(self, cases):
+        # a frame's masks are rasterised together; each must still be the
+        # full-grid test of its own hull and window
+        got = _hull_masks([_convex_hull(c[0]) for c in cases],
+                          [c[1:] for c in cases])
+        assert len(got) == len(cases)
+        for mask, case in zip(got, cases):
+            assert_full_grid(mask, *case)
+
+    def test_runs_do_not_join_across_masks(self):
+        got = _hull_masks([_convex_hull(c[0]) for c in TOUCHING],
+                          [c[1:] for c in TOUCHING])
+        assert [m.counts for m in got] == [(0, 5), (5, 10), (0, 20),
+                                           (0, 45, 15), (0, 9, 3, 9, 3)]
+        # masks between an empty one and a degenerate hull keep their place
+        line = _convex_hull(np.array([[0.0, 0.0], [5.0, 5.0]]))
+        square = _convex_hull(SQUARE)
+        got = _hull_masks([line, square, square],
+                          [(0, 0, 5, 5), (20, 20, 4, 4), (0, 0, 5, 4)])
+        assert got[0] is None and got[1] is None
+        assert got[2].counts == (0, 20)
 
     def test_vertices_on_pixel_centres_are_inside(self):
         # a triangle whose every vertex and edge passes through pixel centres
         points = np.array([[0.5, 0.5], [4.5, 0.5], [0.5, 4.5], [0.5, 0.5]])
-        got = _hull_mask(points, 0, 0, 5, 5).bitmap
+        got = hull_mask(points, 0, 0, 5, 5).bitmap
         assert np.array_equal(got, np.add.outer(np.arange(5), np.arange(5))
                               <= 4)
-        assert _hull_mask(points[[0, 1, 0]], 0, 0, 5, 5) is None
+        assert hull_mask(points[[0, 1, 0]], 0, 0, 5, 5) is None
 
     def test_runs_of_full_rows_are_one_run(self):
-        square = np.array([[-1.0, -1.0], [9.0, -1.0], [9.0, 9.0], [-1.0, 9.0]])
-        assert _hull_mask(square, 0, 0, 5, 4).counts == (0, 20)
-        assert _hull_mask(square, 0, 0, 5, 12).counts == (0, 45, 15)
-        assert _hull_mask(square, 0, 3, 12, 2).counts == (0, 9, 3, 9, 3)
+        assert hull_mask(SQUARE, 0, 0, 5, 4).counts == (0, 20)
+        assert hull_mask(SQUARE, 0, 0, 5, 12).counts == (0, 45, 15)
+        assert hull_mask(SQUARE, 0, 3, 12, 2).counts == (0, 9, 3, 9, 3)
+
+    def test_no_hull_gives_no_mask(self):
+        assert _hull_masks([], []) == []
+        assert _hull_masks([[(0.0, 0.0)], []], [(0, 0, 2, 2)] * 2) == [None,
+                                                                        None]
 
 
 class TestRectUnion:
@@ -184,7 +267,40 @@ class TestOcclusionFraction:
         assert visibility_from_fraction(0.6) == 1
 
 
+class TestBatchedRotation:
+    def test_rows_times_transpose_equal_each_product(self):
+        # simulate rotates a frame's points as (P - t) @ rot.T, which must
+        # give the bits of rot @ (p - t) per row. The two products add their
+        # terms in different orders (for a dense matrix they differ on this
+        # BLAS), but every row of a rotation about y has a zero in the
+        # middle or is (0, 1, 0), so the order cannot change a bit
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            phi = rng.uniform(-4.0, 4.0)
+            cos_e, sin_e = math.cos(phi), math.sin(phi)
+            rot = np.array([[cos_e, 0.0, -sin_e], [0.0, 1.0, 0.0],
+                            [sin_e, 0.0, cos_e]])
+            t = np.array([rng.uniform(-500, 500), 0.0, rng.uniform(-500, 500)])
+            P = rng.uniform(-600, 600, size=(int(rng.integers(1, 40)), 3))
+            P[rng.random(len(P)) < 0.2, 1] = rng.choice([0.0, -0.0, 1.65])
+            want = np.array([rot @ (p - t) for p in P])
+            got = (P - t) @ rot.T
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestSimulate:
+    def test_matches_golden_digests(self):
+        # sha256 of serialize_sequence(simulate(SimConfig(**cfg))) per
+        # config, so any change to the simulator's output bits shows by name
+        lines = (DATA / "sim_digests.txt").read_text().splitlines()
+        want = dict(line.split()[::-1] for line in lines
+                    if not line.startswith("#"))
+        assert set(want) == set(SIM_DIGEST_CONFIGS)
+        for name, kw in SIM_DIGEST_CONFIGS.items():
+            text = serialize_sequence(simulate(SimConfig(**kw)))
+            assert hashlib.sha256(text.encode()).hexdigest() == want[name], \
+                name
+
     def test_byte_determinism(self):
         cfg = SimConfig(seed=7, duration=20, object_count=4)
         a = serialize_sequence(simulate(cfg))

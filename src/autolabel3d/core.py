@@ -276,18 +276,18 @@ class Annotation:
 @dataclass(frozen=True)
 class Frame:
     frame_index: int
-    ego_pose: np.ndarray  # 3x4 world->camera rigid transform [R | t]
+    ego_pose: tuple[float, ...]  # world->camera [R | t], 12 floats row-major
     annotations: tuple[Annotation, ...]
 
     def __post_init__(self):
         if self.frame_index < 0:
             raise InvalidArgument(
                 f"frame_index must be >= 0, got {self.frame_index}")
-        pose = np.asarray(self.ego_pose, dtype=float)
-        if pose.shape != (3, 4):
-            raise InvalidArgument(f"ego pose must be 3x4, got {pose.shape}")
+        pose = tuple(np.asarray(self.ego_pose, dtype=float).ravel().tolist())
+        if len(pose) != 12:
+            raise InvalidArgument(f"ego pose must be 12 numbers, got {len(pose)}")
+        _require_finite("ego pose", *pose)
         object.__setattr__(self, "ego_pose", pose)
-        pose.setflags(write=False)
         object.__setattr__(self, "annotations", tuple(self.annotations))
         if len(self.by_track) < len(self.annotations):
             tracks = [a.track_id for a in self.annotations]
@@ -305,16 +305,6 @@ class Frame:
         """Each annotated track's ``occlusion_fractions``, computed on the
         first read (``simulate`` stores the ones it computed)."""
         return occlusion_fractions(self.annotations)
-
-    def __eq__(self, other):
-        if not isinstance(other, Frame):
-            return NotImplemented
-        return (self.frame_index == other.frame_index
-                and bool(np.array_equal(self.ego_pose, other.ego_pose))
-                and self.annotations == other.annotations)
-
-    def __hash__(self):
-        return hash((self.frame_index, self.ego_pose.tobytes(), self.annotations))
 
 
 @dataclass(frozen=True)
@@ -417,4 +407,5 @@ class Heatmap:
                 and bool(np.array_equal(self.values, other.values)))
 
     def __hash__(self):
-        return hash((self.stride, self.values.shape, self.values.tobytes()))
+        # equal grids can differ in bytes (0.0 and -0.0), so hash no values
+        return hash((self.stride, self.values.shape))

@@ -53,6 +53,8 @@ _KITTI_FIELDS = ("frame", "track_id", "type", "truncated", "occluded", "alpha",
                  "dim_h", "dim_w", "dim_l", "loc_x", "loc_y", "loc_z",
                  "rotation_y", "score")
 _KITTI_INTS = frozenset({"frame", "track_id", "occluded"})
+# a KITTI sequence is labelled in its camera frame: every pose is [I | 0]
+_IDENTITY_POSE = (1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -156,8 +158,7 @@ def parse_kitti(text: str, intrinsics: CameraIntrinsics
         per_frame.setdefault(frame, []).append(ann)
         stats.kept += 1
 
-    eye = np.hstack([np.eye(3), np.zeros((3, 1))])
-    frames = tuple(Frame(frame_index=i, ego_pose=eye,
+    frames = tuple(Frame(frame_index=i, ego_pose=_IDENTITY_POSE,
                          annotations=tuple(per_frame[i]))
                    for i in sorted(per_frame))
     return Sequence(id="kitti", intrinsics=intrinsics, frames=frames,
@@ -258,7 +259,7 @@ def serialize_sequence(seq: Sequence) -> str:
     K = seq.intrinsics
     out.append(f"intrinsics {_floats(K.fx, K.fy, K.cx, K.cy)} {K.width} {K.height}")
     for f in seq.frames:
-        out.append(f"frame {f.frame_index} {_floats(*f.ego_pose.ravel())}")
+        out.append(f"frame {f.frame_index} {_floats(*f.ego_pose)}")
         for a in f.annotations:
             vis = str(a.visibility) if a.visibility is not None else "-"
             out.append(f"ann {a.track_id} {_boxes_text(a.box2d, a.box3d)} "
@@ -285,8 +286,8 @@ def parse_sequence(text: str) -> Sequence:
         elif tag == "frame":
             if frames and int(f[0]) <= frames[-1][0].frame_index:
                 raise ParseError("frame_index must be strictly increasing")
-            pose = np.array([float(v) for v in f[1:13]]).reshape(3, 4)
-            frames.append((Frame(int(f[0]), pose, ()), []))
+            frames.append((Frame(int(f[0]), [float(v) for v in f[1:13]], ()),
+                           []))
         elif tag == "ann":
             frame, anns = _last(frames, "frame")
             track_id = int(f[0])

@@ -27,97 +27,71 @@ def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.linalg.norm(analytic - numeric)) / denom
 
 
-def _check_info_nce(rng, n_points):
-    worst = 0.0
-    for _ in range(n_points):
-        dim = rng.integers(3, 8)
-        q = rng.normal(size=dim)
-        pos = rng.normal(size=dim)
-        negs = [rng.normal(size=dim) for _ in range(rng.integers(1, 5))]
-        tau = float(rng.uniform(0.05, 1.0))
-        lv = losses.info_nce(q, pos, negs, tau)
-        num = finite_difference(lambda x: losses.info_nce(x, pos, negs, tau).value, q)
-        worst = max(worst, rel_error(lv.gradient, num))
-    return worst
+# Each draw takes an rng and returns a point and the loss of a point with
+# the loss's other inputs fixed.
+
+def _draw_info_nce(rng):
+    dim = rng.integers(3, 8)
+    q = rng.normal(size=dim)
+    pos = rng.normal(size=dim)
+    negs = [rng.normal(size=dim) for _ in range(rng.integers(1, 5))]
+    tau = float(rng.uniform(0.05, 1.0))
+    return q, lambda x: losses.info_nce(x, pos, negs, tau)
 
 
-def _check_focal(rng, n_points):
-    worst = 0.0
-    for _ in range(n_points):
-        shape = (4, 5)
-        # stay away from the clamp and keep p in the smooth region
-        pred = rng.uniform(0.05, 0.95, size=shape)
-        target = np.where(rng.random(shape) < 0.15, 1.0,
-                          rng.uniform(0.0, 0.9, size=shape))
-        weight = rng.uniform(0.2, 1.0, size=shape)
-        lv = losses.focal_center_loss(pred, target, weight=weight)
-        num = finite_difference(
-            lambda x: losses.focal_center_loss(x.reshape(shape), target,
-                                               weight=weight).value,
-            pred.ravel())
-        worst = max(worst, rel_error(lv.gradient, num))
-    return worst
+def _draw_focal(rng):
+    shape = (4, 5)
+    # stay away from the clamp and keep p in the smooth region
+    pred = rng.uniform(0.05, 0.95, size=shape)
+    target = np.where(rng.random(shape) < 0.15, 1.0,
+                      rng.uniform(0.0, 0.9, size=shape))
+    weight = rng.uniform(0.2, 1.0, size=shape)
+    return pred.ravel(), lambda x: losses.focal_center_loss(
+        x.reshape(shape), target, weight=weight)
 
 
-def _check_l1(rng, n_points):
-    worst = 0.0
-    for _ in range(n_points):
-        n = rng.integers(2, 10)
-        pred = rng.normal(size=n)
-        target = pred + np.where(rng.random(n) < 0.5, 1, -1) \
-            * rng.uniform(1e-2, 2.0, size=n)  # keep |pred-target| > 1e-3
-        lv = losses.l1_loss(pred, target)
-        num = finite_difference(lambda x: losses.l1_loss(x, target).value, pred)
-        worst = max(worst, rel_error(lv.gradient, num))
-    return worst
+def _draw_l1(rng):
+    n = rng.integers(2, 10)
+    pred = rng.normal(size=n)
+    target = pred + np.where(rng.random(n) < 0.5, 1, -1) \
+        * rng.uniform(1e-2, 2.0, size=n)  # keep |pred-target| > 1e-3
+    return pred, lambda x: losses.l1_loss(x, target)
 
 
-def _check_bce(rng, n_points):
-    worst = 0.0
-    for _ in range(n_points):
-        n = rng.integers(2, 10)
-        pred = rng.uniform(0.05, 0.95, size=n)
-        target = (rng.random(n) < 0.5).astype(float)
-        weight = rng.uniform(0.2, 1.0, size=n)
-        lv = losses.bce_loss(pred, target, weight=weight)
-        num = finite_difference(
-            lambda x: losses.bce_loss(x, target, weight=weight).value, pred)
-        worst = max(worst, rel_error(lv.gradient, num))
-    return worst
+def _draw_bce(rng):
+    n = rng.integers(2, 10)
+    pred = rng.uniform(0.05, 0.95, size=n)
+    target = (rng.random(n) < 0.5).astype(float)
+    weight = rng.uniform(0.2, 1.0, size=n)
+    return pred, lambda x: losses.bce_loss(x, target, weight=weight)
 
 
-def _check_totals(rng, n_points):
-    worst = 0.0
-    for _ in range(n_points):
-        n = rng.integers(2, 8)
-        pred = rng.uniform(0.05, 0.95, size=n)
-        target = pred + rng.uniform(0.01, 0.5, size=n) * 0.05
-
-        def total(x):
-            comp = {name: losses.l1_loss(x, target)
-                    for name in losses.MATCH_COMPONENTS}
-            return losses.match_loss_total(comp)
-
-        lv = total(pred)
-        num = finite_difference(lambda x: total(x).value, pred)
-        worst = max(worst, rel_error(lv.gradient, num))
-    return worst
+def _draw_totals(rng):
+    n = rng.integers(2, 8)
+    pred = rng.uniform(0.05, 0.95, size=n)
+    target = pred + rng.uniform(0.01, 0.5, size=n) * 0.05
+    return pred, lambda x: losses.match_loss_total(
+        {name: losses.l1_loss(x, target) for name in losses.MATCH_COMPONENTS})
 
 
 CHECKS = {
-    "info_nce": _check_info_nce,
-    "focal": _check_focal,
-    "l1": _check_l1,
-    "bce": _check_bce,
-    "aggregates": _check_totals,
+    "info_nce": _draw_info_nce,
+    "focal": _draw_focal,
+    "l1": _draw_l1,
+    "bce": _draw_bce,
+    "aggregates": _draw_totals,
 }
 
 
 def run_gradient_checks(seed: int = 0, n_points: int = 100):
     """Returns [(name, worst relative error, points, passed)] per loss."""
     results = []
-    for i, (name, check) in enumerate(CHECKS.items()):
+    for i, (name, draw) in enumerate(CHECKS.items()):
         rng = np.random.default_rng([seed, i])
-        err = check(rng, n_points)
-        results.append((name, err, n_points, err < REL_TOL))
+        worst = 0.0
+        for _ in range(n_points):
+            point, loss = draw(rng)
+            num = finite_difference(lambda x: loss(x).value, point)
+            worst = max(worst, rel_error(loss(point).gradient, num))
+        results.append((name, worst, n_points, worst < REL_TOL))
     return results

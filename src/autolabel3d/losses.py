@@ -16,7 +16,7 @@ from .core import Heatmap, InvalidArgument
 PROB_CLAMP = 1e-7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossValue:
     value: float
     gradient: np.ndarray

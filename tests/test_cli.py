@@ -245,22 +245,37 @@ def set_track_0(frames, message):
     return edit
 
 
-def edit_and_run(tmp_path, capsys, name, stage, edit):
-    """Write the artifacts of ``simulate``, ``sample`` and ``pseudolabel``,
-    ``edit`` the lines of ``name`` and check that ``stage`` exits 1 naming
-    the line the edit returns."""
+def set_pose(value):
+    def edit(lines):
+        """Give frame 0's pose, on line 4, ``value`` as its first entry."""
+        fields = lines[3].split()
+        assert fields[:2] == ["frame", "0"]
+        fields[2] = value
+        lines[3] = " ".join(fields)
+        return 4, ("malformed 'frame' record: ego pose must be finite, "
+                   f"got {value}")
+    return edit
+
+
+def edit_and_run(tmp_path, capsys, name, stage, edit,
+                 before=("simulate", "sample", "pseudolabel")):
+    """Write the artifacts of the ``before`` stages, ``edit`` the lines of
+    ``name`` and check that ``stage`` exits 1 naming the line the edit
+    returns, and writes no file."""
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
-    for cmd in ("simulate", "sample", "pseudolabel"):
+    for cmd in before:
         assert run("--config", cfg, "--out", str(out), cmd) == 0, cmd
     path = out / name
     lines = path.read_text().splitlines()
     bad_line, message = edit(lines)
     path.write_text("\n".join(lines) + "\n")
+    written = sorted(out.iterdir())
     capsys.readouterr()
     assert run("--config", cfg, "--out", str(out), stage) == 1
     err = capsys.readouterr().err
     assert f"error: {path}: line {bad_line}: {message}" in err, err
+    assert sorted(out.iterdir()) == written
 
 
 class TestStepwise:
@@ -344,6 +359,16 @@ class TestStepwise:
     def test_refused_record_names_file_and_line(self, tmp_path, capsys,
                                                 name, stage, edit):
         edit_and_run(tmp_path, capsys, name, stage, edit)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("stage, before", [
+        ("pseudolabel", ("simulate", "sample")),
+        ("evaluate", ("simulate", "sample", "pseudolabel")),
+    ], ids=["pseudolabel", "evaluate"])
+    def test_non_finite_pose_names_file_and_line(self, tmp_path, capsys,
+                                                 stage, before, value):
+        edit_and_run(tmp_path, capsys, "sequence.txt", stage, set_pose(value),
+                     before)
 
     @pytest.mark.parametrize("label", ["track 9 3", "track 0 99"],
                              ids=["unknown-track", "unannotated-frame"])

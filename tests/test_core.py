@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from autolabel3d.core import (Annotation, Box2D, Box3D, CameraIntrinsics,
-                              Frame, InvalidArgument, Mask2D, Sequence,
-                              _rect_union_area, iou_2d, normalize_yaw,
-                              rle_decode, rle_encode)
+                              Frame, Heatmap, InvalidArgument, Mask2D,
+                              Sequence, _rect_union_area, iou_2d,
+                              normalize_yaw, rle_decode, rle_encode)
+from autolabel3d.losses import LossValue
 from autolabel3d.simulator import SimConfig, simulate
 
 
@@ -245,3 +246,51 @@ class TestSequenceViews:
             Sequence(id="s", intrinsics=CameraIntrinsics(
                 700.0, 700.0, 620.0, 187.0, 1242, 375), frames=(),
                 frame_rate=rate)
+
+
+def signed_zeros(n):
+    return st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n)
+
+
+def pairs(build, *parts):
+    """Two values, each built from its own draw of ``parts``."""
+    return st.tuples(st.tuples(*parts), st.tuples(*parts)).map(
+        lambda p: (build(*p[0]), build(*p[1])))
+
+
+VALUE_PAIRS = {
+    "frame": pairs(lambda pose: Frame(0, pose, ()), signed_zeros(12)),
+    "heatmap": pairs(lambda v: Heatmap(np.reshape(v, (2, 3)), 1),
+                     signed_zeros(6)),
+    "mask": pairs(lambda bits: Mask2D.from_bitmap((0, 0),
+                                                  np.reshape(bits, (2, 3))),
+                  st.lists(st.booleans(), min_size=6, max_size=6)),
+    "box3d": pairs(lambda c, yaw: Box3D(center=c, dims=(4.0, 1.8, 1.5),
+                                        yaw=yaw, direction="towards"),
+                   signed_zeros(3), st.sampled_from([0.0, -0.0, math.pi])),
+}
+
+
+class TestValueEquality:
+    @pytest.mark.parametrize("kind", sorted(VALUE_PAIRS))
+    @given(data=st.data())
+    def test_equal_values_hash_equal(self, kind, data):
+        a, b = data.draw(VALUE_PAIRS[kind])
+        if a == b:
+            assert hash(a) == hash(b)
+
+    def test_a_pose_is_its_12_floats(self):
+        frame = Frame(0, EYE, ())
+        assert frame.ego_pose == tuple(EYE.ravel().tolist())
+        assert frame == Frame(0, list(frame.ego_pose), ())
+        for bad in ([1.0] * 11, [[1.0] * 4] * 4):
+            with pytest.raises(InvalidArgument, match="12 numbers"):
+                Frame(0, bad, ())
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidArgument, match="ego pose must be "
+                                                      "finite"):
+                Frame(0, [bad] + [0.0] * 11, ())
+
+    def test_loss_values_compare_to_a_bool(self):
+        a, b = LossValue(1.0, np.zeros(3)), LossValue(1.0, np.zeros(3))
+        assert (a == b) is False and (a == a) is True

@@ -314,6 +314,8 @@ class TestOtherDocuments:
         ("sparse_labels", SPARSE[:4] + ["reduction_ratio -0.1"], 5),
         ("sparse_labels", SPARSE[:3] + ["seed -4"] + SPARSE[4:], 4),
         ("sparse_labels", SPARSE[:2] + ["max_per_track 0"] + SPARSE[3:], 3),
+        ("sequence", SEQ + [FRAME.replace("frame 0 1", "frame 0 nan")], 4),
+        ("sequence", SEQ + [FRAME[:-1] + "inf"], 4),
     ], ids=["short-sequence", "short-ann", "ann-before-frame",
             "non-integer-track", "bare-seed", "unknown-tag", "short-pair",
             "plmask-bad-token", "plmask-bad-rle",
@@ -333,7 +335,7 @@ class TestOtherDocuments:
             "track-frames-not-increasing", "track-over-budget", "bare-track",
             "track-before-max-per-track", "nan-reduction-ratio",
             "reduction-ratio-above-one", "negative-reduction-ratio",
-            "negative-seed", "zero-max-per-track"])
+            "negative-seed", "zero-max-per-track", "nan-pose", "inf-pose"])
     def test_malformed_record_names_the_line(self, parse, lines, bad_line):
         with pytest.raises(ParseError, match=rf"^line {bad_line}: "):
             getattr(formats, f"parse_{parse}")("\n".join(lines) + "\n")

@@ -375,7 +375,7 @@ class TestSimulate:
         seq = simulate(cfg)
         checked = 0
         for frame in seq.frames:
-            rot = frame.ego_pose[:, :3]
+            rot = np.reshape(frame.ego_pose, (3, 4))[:, :3]
             for a in frame.annotations:
                 hv = heading_vector(a.box3d.yaw)
                 world = rot.T @ hv

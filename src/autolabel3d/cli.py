@@ -13,7 +13,7 @@ from pathlib import Path
 from . import formats, metrics
 from .config import NOISE_PROFILES, RunConfig, load_run_config, read_yaml
 from .core import CameraIntrinsics, InvalidArgument
-from .pipeline import coverage_report, emit_fncomp_weights, run_pipeline
+from .pipeline import coverage_report, iter_fncomp_weights, run_pipeline
 from .providers import OracleProviderSet
 from .sampling import mine_pairs, sample_sparse
 from .simulator import DEFAULT_INTRINSICS, simulate
@@ -36,18 +36,34 @@ SWEEP_CSV = "sweep.csv"
 class ArtifactStore:
     """The ``--out`` directory of one invocation: ``put`` writes an artifact
     and keeps its object for the later stages; ``get`` parses a file only
-    when this invocation did not write it."""
+    when this invocation did not write it. Every artifact is written by
+    ``write``, so none is ever left half written."""
 
     def __init__(self, root: Path):
         self.root = root
         self._objects: dict[str, object] = {}
 
     def put(self, name: str, obj, serialize) -> Path:
+        path = self.write(name, [serialize(obj)])
+        self._objects[name] = obj
+        return path
+
+    def write(self, name: str, chunks) -> Path:
+        """Write the text ``chunks`` to a temporary file in the directory,
+        then move it onto ``name``; on any exception the temporary file goes
+        and an earlier ``name`` stays as it was."""
         path = self.root / name
         self.root.mkdir(parents=True, exist_ok=True)
-        path.write_text(serialize(obj), encoding="utf-8", newline="")
+        tmp = self.root / f".{name}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         log.info("wrote %s", path)
-        self._objects[name] = obj
         return path
 
     def get(self, name: str, parse):
@@ -151,10 +167,12 @@ def _coverage_text(report) -> str:
 def cmd_fn_weights(args, cfg: RunConfig, store: ArtifactStore):
     seq = store.get(SEQUENCE_FILE, formats.parse_sequence)
     pseudo = store.get(PSEUDO_FILE, formats.parse_pseudolabels)
-    weights = emit_fncomp_weights(seq, pseudo, _providers(seq, cfg),
+    # streamed, not put: a frame's map is dropped once its rows are written,
+    # so memory does not grow with the length of the sequence
+    weights = iter_fncomp_weights(seq, pseudo, _providers(seq, cfg),
                                   cfg.pipeline)
-    store.put(WEIGHTS_FILE, weights, formats.serialize_weight_maps)
-    print(f"emitted weight maps for {len(weights)} frames")
+    store.write(WEIGHTS_FILE, formats.iter_weight_maps_text(weights))
+    print(f"emitted weight maps for {len(seq.frames)} frames")
 
 
 def cmd_evaluate(args, cfg: RunConfig, store: ArtifactStore):

@@ -289,6 +289,11 @@ class Frame:
         _require_finite("ego pose", *pose)
         object.__setattr__(self, "ego_pose", pose)
         object.__setattr__(self, "annotations", tuple(self.annotations))
+        for a in self.annotations:
+            if a.frame_index != self.frame_index:
+                raise InvalidArgument(
+                    f"frame {self.frame_index} holds an annotation of frame "
+                    f"{a.frame_index} (track {a.track_id})")
         if len(self.by_track) < len(self.annotations):
             tracks = [a.track_id for a in self.annotations]
             twice = next(t for i, t in enumerate(tracks) if t in tracks[:i])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -431,15 +432,21 @@ def parse_pseudolabels(text: str) -> list[Pseudolabel]:
 
 
 def serialize_weight_maps(weights: dict[int, Heatmap]) -> str:
-    out = [_header("weightmaps")]
+    return "".join(iter_weight_maps_text((i, weights[i])
+                                         for i in sorted(weights)))
+
+
+def iter_weight_maps_text(weights: Iterable[tuple[int, Heatmap]],
+                          ) -> Iterator[str]:
+    """The text of a weight-maps document, chunk by chunk: the header line,
+    then one chunk per ``(frame_index, map)`` pair, in the order given."""
+    yield _header("weightmaps") + "\n"
     # Each distinct row, keyed by its bits (which keep -0.0 apart from
     # 0.0), is formatted once across all frames, and the distinct values
     # of the rows not seen before once each.
     lines: dict[bytes, str] = {}
-    for frame_index in sorted(weights):
-        h = weights[frame_index]
+    for frame_index, h in weights:
         rows, cols = h.values.shape
-        out.append(f"frame {frame_index} {rows} {cols} {h.stride}")
         bits = np.ascontiguousarray(h.values).view(np.uint64)
         keys = [row.tobytes() for row in bits]
         new = {k: r for r, k in enumerate(keys) if k not in lines}
@@ -449,8 +456,8 @@ def serialize_weight_maps(weights: dict[int, Heatmap]) -> str:
             texts = [fmt_float(v) for v in values.view(np.float64)]
             for k, row in zip(new, index.reshape(len(new), cols).tolist()):
                 lines[k] = " ".join([texts[i] for i in row])
-        out.extend([lines[k] for k in keys])
-    return "\n".join(out) + "\n"
+        yield "\n".join([f"frame {frame_index} {rows} {cols} {h.stride}",
+                         *[lines[k] for k in keys]]) + "\n"
 
 
 def parse_weight_maps(text: str) -> dict[int, Heatmap]:

@@ -12,7 +12,7 @@ by confidence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -169,21 +169,27 @@ def run_pipeline(seq: Sequence, sparse: SparseLabelSet, providers,
 def emit_fncomp_weights(seq: Sequence, pseudolabels: list[Pseudolabel],
                         fn_provider, cfg: PipelineConfig) -> dict[int, Heatmap]:
     """Per-frame loss-weight maps: downweight likely-false-negative regions."""
+    return dict(iter_fncomp_weights(seq, pseudolabels, fn_provider, cfg))
+
+
+def iter_fncomp_weights(seq: Sequence, pseudolabels: list[Pseudolabel],
+                        fn_provider, cfg: PipelineConfig,
+                        ) -> Iterator[tuple[int, Heatmap]]:
+    """``(frame_index, weight map)`` for each frame of ``seq`` in order,
+    each map made only when the caller asks for it."""
     by_frame: dict[int, list[Pseudolabel]] = {}
     for p in pseudolabels:
         by_frame.setdefault(p.frame_index, []).append(p)
     K = seq.intrinsics
     stride = fn_provider.heatmap_stride
     stamps = getattr(fn_provider, "stamps", {})
-    weights: dict[int, Heatmap] = {}
     for f in seq.frames:
         objectness = fn_provider.objectness(f.frame_index)
         coverage = splat_boxes([p.box2d for p in by_frame.get(f.frame_index, [])],
                                K.width, K.height, stride, stamps)
         p_fn = np.maximum(objectness.values - coverage.values, 0.0)
         w = np.clip(1.0 - p_fn, cfg.fncomp_floor, 1.0)
-        weights[f.frame_index] = Heatmap(values=w, stride=stride)
-    return weights
+        yield f.frame_index, Heatmap(values=w, stride=stride)
 
 
 @dataclass(frozen=True)

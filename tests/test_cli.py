@@ -1,12 +1,14 @@
 import csv
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import pytest
 import yaml
 
-from autolabel3d import formats
+from autolabel3d import cli, formats
 from autolabel3d.cli import main
+from autolabel3d.providers import OracleProviderSet
 
 DATA = Path(__file__).parent / "data"
 ARTIFACTS = Path(__file__).parent.parent / "artifacts"
@@ -34,6 +36,15 @@ sim:
   object_count: 12
   ego_motion: arc
   ego_arc_radius: 60.0
+"""
+
+# a long scene like the benchmark's noiseless e2e one: 120 frames of weight maps
+LONG_CONFIG = """\
+sim:
+  duration: 120
+  object_count: 6
+  layout: grid
+noise: noiseless
 """
 
 
@@ -142,6 +153,56 @@ class TestE2E:
             got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in out.iterdir()}
             assert got == want, noise
+
+    def test_a_failed_stage_leaves_the_earlier_artifacts(
+            self, tmp_path, capsys, monkeypatch):
+        # weight_maps.txt is written while its frames are made, so a failure
+        # at frame 5 comes after frames 0-4 are on disk
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run("--config", cfg, "--out", str(out), "e2e") == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        objectness = OracleProviderSet.objectness
+
+        def failing(self, frame_index):
+            if frame_index == 5:
+                raise RuntimeError("no objectness at frame 5")
+            return objectness(self, frame_index)
+
+        monkeypatch.setattr(OracleProviderSet, "objectness", failing)
+        capsys.readouterr()
+        assert run("--config", cfg, "--out", str(out), "e2e") == 2
+        assert "no objectness at frame 5" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_fn_weights_holds_one_frame_at_a_time(self, tmp_path,
+                                                  monkeypatch):
+        # the stage's traced peak above its starting level, against the
+        # bytes of every weight grid of the scene held at once
+        peaks = []
+        stage = cli.cmd_fn_weights
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                stage(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(cli, "cmd_fn_weights", traced)
+        out = tmp_path / "out"
+        assert run("--config", write_config(tmp_path, LONG_CONFIG), "--out",
+                   str(out), "e2e") == 0
+        with open(out / "weight_maps.txt", encoding="utf-8") as fh:
+            grids = [line.split()[2:4] for line in fh
+                     if line.startswith("frame ")]
+        assert len(grids) == 120
+        grid_bytes = sum(8 * int(rows) * int(cols) for rows, cols in grids)
+        assert len(peaks) == 1
+        assert peaks[0] < grid_bytes / 4, (peaks[0], grid_bytes)
 
     # (--sweep spec, the part of it the error must name)
     BAD_SWEEPS = [("window=1,2", "window=1,2"), ("max_per_track=a", "'a'"),

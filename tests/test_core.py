@@ -239,6 +239,14 @@ class TestSequenceViews:
                                                   "twice"):
             Frame(3, EYE, [ann(3, 1), a, ann(3, 2), a])
 
+    def test_a_frame_holding_another_frames_annotation_is_rejected(self):
+        # accepted, Sequence.annotation(0, 1) would answer with frame 3's
+        # box and annotation(3, 1) with None
+        with pytest.raises(InvalidArgument, match=r"frame 0 holds an "
+                                                  r"annotation of frame 3 "
+                                                  r"\(track 1\)"):
+            Frame(0, EYE, [ann(0, 2), ann(3, 1)])
+
     @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
     def test_frame_rate_must_be_positive_and_finite(self, rate):
         with pytest.raises(InvalidArgument, match="frame_rate must be "

@@ -37,6 +37,13 @@ def _require_finite(name, *values):
             raise InvalidArgument(f"{name} must be finite, got {v!r}")
 
 
+def _require_id(name, value):
+    """Ids are one 32-bit word each of the oracle's noise keys."""
+    if not 0 <= value < 2 ** 32:
+        bound = ">= 0" if value < 0 else "< 2**32"
+        raise InvalidArgument(f"{name} must be {bound}, got {value}")
+
+
 def normalize_yaw(theta: float) -> float:
     """Map an angle to the canonical range (-pi, pi], keeping pi (not -pi)."""
     if not math.isfinite(theta):
@@ -263,8 +270,8 @@ class Annotation:
     visibility: Optional[int] = None  # nuScenes convention, {1,2,3,4}
 
     def __post_init__(self):
-        if self.track_id < 0:
-            raise InvalidArgument(f"track_id must be >= 0, got {self.track_id}")
+        _require_id("frame_index", self.frame_index)
+        _require_id("track_id", self.track_id)
         if self.occlusion_level not in (0, 1, 2, 3):
             raise InvalidArgument(
                 f"occlusion_level must be in {{0,1,2,3}}, got {self.occlusion_level}")
@@ -280,9 +287,7 @@ class Frame:
     annotations: tuple[Annotation, ...]
 
     def __post_init__(self):
-        if self.frame_index < 0:
-            raise InvalidArgument(
-                f"frame_index must be >= 0, got {self.frame_index}")
+        _require_id("frame_index", self.frame_index)
         pose = tuple(np.asarray(self.ego_pose, dtype=float).ravel().tolist())
         if len(pose) != 12:
             raise InvalidArgument(f"ego pose must be 12 numbers, got {len(pose)}")

@@ -184,7 +184,8 @@ def _association(seq: Sequence, preds: list[Pseudolabel],
             g_ids, p_ids = list(gts), list(prs)
             g_xyz = np.array(list(gts.values()))
             p_xyz = np.array([p.box3d.center for p in prs.values()])
-            sq = ((g_xyz[:, None, :] - p_xyz[None, :, :]) ** 2).sum(-1)
+            with np.errstate(over="ignore"):  # a far one is inf: unmatched
+                sq = ((g_xyz[:, None, :] - p_xyz[None, :, :]) ** 2).sum(-1)
             for i, j in zip(*np.nonzero(sq <= bound)):
                 d = float(np.linalg.norm(g_xyz[i] - p_xyz[j]))
                 if d <= dist_threshold:

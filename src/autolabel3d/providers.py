@@ -2,13 +2,16 @@
 
 The oracle implementations answer queries from simulator ground truth plus
 parameterized noise, so the propagation pipeline and ablations can run at
-desk scale. Randomness is drawn from streams keyed by
-(seed, track, frame, purpose), which makes outputs independent of call
-order and parallel schedule.
+desk scale. A draw is the first of numpy's ``default_rng([seed, purpose,
+track, frame(, source)])``, bit for bit, whatever the call order. Its
+SeedSequence pool for ``[seed, purpose, track, frame]`` is mixed once per
+annotation, in one array pass; the draw mixes in the source word and seeds
+PCG64 in integer arithmetic. ``core`` keeps ids one 32-bit word each.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -24,6 +27,73 @@ _TAG_CENTER = 2
 _TAG_DEPTH = 3
 _TAG_DIMS = 4
 _TAG_DIRECTION = 5
+
+# numpy's SeedSequence: a hash step XORs a word with one constant and
+# multiplies it by the next; the entropy hash (A) mixes the key into the
+# pool, the state hash (B) reads the state out of it. Then PCG64 (XSL-RR).
+_M32, _M64, _M128 = 2 ** 32 - 1, 2 ** 64 - 1, 2 ** 128 - 1
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_L, _MIX_R = 0xca01f9dd, 0x4973f715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_steps(init: int, mult: int, n: int) -> list[tuple[int, int]]:
+    """The (xor, multiply) constants of a hash's first ``n`` steps."""
+    c = list(itertools.accumulate(range(n), lambda c, _: c * mult & _M32,
+                                  initial=init))
+    return list(zip(c, c[1:]))
+
+
+_STATE_STEPS = _hash_steps(_INIT_B, _MULT_B, 8)  # generate_state(4, uint64)
+
+
+def _seed_pools(head: list[int], keys: np.ndarray) -> np.ndarray:
+    """SeedSequence's pool after the words ``head + [track, frame]``, one
+    row per ``(track, frame)`` row of ``keys``: ``mix_entropy`` over all rows
+    at once, in uint64 arrays masked to 32 bits."""
+    words = [np.full(len(keys), w, np.uint64) for w in head] + list(keys.T)
+    steps = iter(_hash_steps(_INIT_A, _MULT_A, 4 * len(words)))
+
+    def hashmix(v):
+        x, m = next(steps)
+        v = (v ^ x) * m & _M32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = (_MIX_L * x - _MIX_R * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    return np.stack(pool, axis=1)
+
+
+def _pcg64_state(pool, extra: Optional[int],
+                 extra_steps: list[tuple[int, int]]) -> tuple[int, int]:
+    """PCG64's ``(state, inc)`` as ``default_rng`` seeds it from a
+    SeedSequence with this pool, after mixing in one more word ``extra``
+    (with the entropy hash's next four ``extra_steps``) unless it is None."""
+    if extra is not None:
+        pool, extra = list(pool), int(extra)  # a numpy integer would wrap
+        for i, (x, m) in enumerate(extra_steps):
+            h = (extra ^ x) * m & _M32
+            r = (_MIX_L * pool[i] - _MIX_R * (h ^ h >> 16)) & _M32
+            pool[i] = r ^ r >> 16
+    w = []
+    for i, (x, m) in enumerate(_STATE_STEPS):
+        v = (pool[i & 3] ^ x) * m & _M32
+        w.append(v ^ v >> 16)
+    # two little-endian uint64 pairs, each (high, low) of a 128-bit number
+    seed = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+    inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & _M128 | 1
+    return ((inc + seed) * _PCG_MULT + inc) & _M128, inc
 
 
 def _exp_or_inf(x: float) -> float:
@@ -175,9 +245,42 @@ class OracleProviderSet:
         self.noise = noise if noise is not None else NoiseConfig.noiseless()
         self.heatmap_stride = heatmap_stride
         self.stamps: dict = {}  # splat stamps, see ``splat_boxes``
+        self._pools: dict[int, dict] = {}  # per tag, see ``_state``
+        seed = self.noise.seed  # read as 32-bit words, lowest first
+        self._head = [seed >> b & _M32
+                      for b in range(0, seed.bit_length() or 1, 32)]
+        n = 4 * (len(self._head) + 3)  # entropy hash steps of a 4-part key
+        self._extra_steps = _hash_steps(_INIT_A, _MULT_A, n + 4)[n:]
+        self._gen = np.random.Generator(np.random.PCG64(0))  # normal draws
 
-    def _rng(self, tag: int, *key: int) -> np.random.Generator:
-        return np.random.default_rng([self.noise.seed, tag, *key])
+    def _state(self, tag: int, track: int, frame: int,
+               source: Optional[int] = None) -> tuple[int, int]:
+        """PCG64's ``(state, inc)`` in ``default_rng([seed, tag,
+        track, frame(, source)])``. A tag's pools, one per annotation, are
+        mixed the first time the tag is drawn."""
+        pools = self._pools.get(tag)
+        if pools is None:
+            keys = [(a.track_id, f.frame_index)
+                    for f in self.seq.frames for a in f.annotations]
+            rows = _seed_pools(self._head + [tag], np.array(keys, np.uint64))
+            pools = self._pools[tag] = dict(zip(keys, map(tuple, rows.tolist())))
+        return _pcg64_state(pools[track, frame], source, self._extra_steps)
+
+    def _uniform(self, tag: int, *key: int) -> float:
+        """The first ``random()`` of the key's stream: one LCG step, the
+        XSL-RR output, its top 53 bits."""
+        state, inc = self._state(tag, *key)
+        state = (state * _PCG_MULT + inc) & _M128
+        x, r = (state >> 64 ^ state) & _M64, state >> 122
+        return (((x >> r | x << 64 - r) & _M64) >> 11) * 2.0 ** -53
+
+    def _stream(self, tag: int, *key: int) -> np.random.Generator:
+        """The key's stream, fresh: the provider's one Generator, loaded."""
+        state, inc = self._state(tag, *key)
+        self._gen.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+        return self._gen
 
     # -- 2D query matching ----------------------------------------------
 
@@ -195,13 +298,13 @@ class OracleProviderSet:
         p_drop = min(max(n.match_dropout_base + n.dropout_occlusion_gain * occ,
                          0.0), 1.0)
         if p_drop > 0:
-            rng = self._rng(_TAG_DROPOUT, track_id, target_frame, source_frame)
-            if rng.random() < p_drop:
+            if self._uniform(_TAG_DROPOUT, track_id, target_frame,
+                             source_frame) < p_drop:
                 return None
 
         box = ann.box2d
         if n.center_px_sigma > 0:
-            rng = self._rng(_TAG_CENTER, track_id, target_frame, source_frame)
+            rng = self._stream(_TAG_CENTER, track_id, target_frame, source_frame)
             du, dv = rng.normal(0.0, n.center_px_sigma, size=2)
             box = Box2D(cx=box.cx + du, cy=box.cy + dv, w=box.w, h=box.h)
 
@@ -224,18 +327,18 @@ class OracleProviderSet:
         n = self.noise
         depths = list(pk.depths)
         if n.depth_rel_sigma > 0:
-            rng = self._rng(_TAG_DEPTH, track_id, target_frame)
+            rng = self._stream(_TAG_DEPTH, track_id, target_frame)
             depths = [d * _exp_or_inf(n.depth_rel_sigma * g)
                       for d, g in zip(depths, rng.normal(size=3))]
         dims = ann.box3d.dims
         if n.dims_rel_sigma > 0:
-            rng = self._rng(_TAG_DIMS, track_id, target_frame)
+            rng = self._stream(_TAG_DIMS, track_id, target_frame)
             dims = tuple(max(d * (1.0 + n.dims_rel_sigma * g), 1e-3)
                          for d, g in zip(dims, rng.normal(size=3)))
         direction = pk.direction
         if n.direction_flip_prob > 0:
-            rng = self._rng(_TAG_DIRECTION, track_id, target_frame)
-            if rng.random() < n.direction_flip_prob:
+            if self._uniform(_TAG_DIRECTION, track_id,
+                             target_frame) < n.direction_flip_prob:
                 direction = AWAY if direction == TOWARDS else TOWARDS
 
         pk = PixelKeypoints(front=pk.front, center=pk.center, back=pk.back,

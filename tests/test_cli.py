@@ -318,6 +318,16 @@ def set_pose(value):
     return edit
 
 
+def set_last_frame_index(lines):
+    """Give the last ``frame`` record the index 2**32."""
+    i = max(i for i, line in enumerate(lines) if line.startswith("frame "))
+    fields = lines[i].split()
+    fields[1] = "4294967296"
+    lines[i] = " ".join(fields)
+    return i + 1, ("malformed 'frame' record: frame_index must be < 2**32, "
+                   "got 4294967296")
+
+
 def edit_and_run(tmp_path, capsys, name, stage, edit,
                  before=("simulate", "sample", "pseudolabel")):
     """Write the artifacts of the ``before`` stages, ``edit`` the lines of
@@ -430,6 +440,11 @@ class TestStepwise:
                                                  stage, before, value):
         edit_and_run(tmp_path, capsys, "sequence.txt", stage, set_pose(value),
                      before)
+
+    def test_frame_index_past_32_bits_names_file_and_line(self, tmp_path,
+                                                          capsys):
+        edit_and_run(tmp_path, capsys, "sequence.txt", "pseudolabel",
+                     set_last_frame_index, ("simulate", "sample"))
 
     @pytest.mark.parametrize("label", ["track 9 3", "track 0 99"],
                              ids=["unknown-track", "unannotated-frame"])
@@ -673,6 +688,10 @@ class TestParseKitti:
                      id="negative-track-id"),
         pytest.param(0, "-1", "frame must be >= 0, got -1",
                      id="negative-frame"),
+        pytest.param(1, "4294967296", "track_id must be < 2**32, got "
+                     "4294967296", id="track-id-2**32"),
+        pytest.param(0, "4294967296", "frame_index must be < 2**32, got "
+                     "4294967296", id="frame-2**32"),
         pytest.param(8, "100", "box2d sides must be positive",
                      id="right-at-left"),
         pytest.param(4, "4", "occlusion_level must be in {0,1,2,3}, got 4",

@@ -247,6 +247,19 @@ class TestSequenceViews:
                                                   r"\(track 1\)"):
             Frame(0, EYE, [ann(0, 2), ann(3, 1)])
 
+    def test_ids_are_32_bit(self):
+        # each is one 32-bit word of the oracle's noise stream keys
+        assert Frame(2 ** 32 - 1, EYE, [ann(2 ** 32 - 1, 2 ** 32 - 1)])
+        with pytest.raises(InvalidArgument, match=r"frame_index must be "
+                                                  r"< 2\*\*32, got 4294967296"):
+            Frame(2 ** 32, EYE, [])
+        with pytest.raises(InvalidArgument, match=r"track_id must be "
+                                                  r"< 2\*\*32, got 4294967296"):
+            ann(0, 2 ** 32)
+        with pytest.raises(InvalidArgument, match=r"frame_index must be "
+                                                  r"< 2\*\*32, got 4294967296"):
+            ann(2 ** 32, 0)
+
     @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
     def test_frame_rate_must_be_positive_and_finite(self, rate):
         with pytest.raises(InvalidArgument, match="frame_rate must be "

@@ -3,6 +3,7 @@ import itertools
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +208,15 @@ class TestClearMot:
         mota, _, counts, _ = clear_mot(seq, preds, dist_threshold=2.0)
         assert counts.fp == 1 and counts.fn == 1 and counts.tp == 0
         assert mota == -1.0
+
+    def test_far_prediction_is_unmatched_without_a_warning(self):
+        # its squared distance overflows to inf: no match, and no warning
+        seq = make_seq({0: {0: (0, 0, 10)}}, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = evaluate(seq, [pl(0, 0, (0, 0, 1e200))], 2.0, (0.5, 1.0))
+        assert (rep.counts.tp, rep.counts.fp, rep.counts.fn) == (0, 1, 1)
+        assert rep.mota == -1.0
 
     def test_carry_over_prevents_flip_flop_switch(self):
         # two GT tracks crossing paths: the carried-over match survives as

@@ -1,16 +1,20 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from autolabel3d import core
-from autolabel3d.core import Box2D, InvalidArgument
+from autolabel3d.config import NOISE_PROFILES
+from autolabel3d.core import Box2D, Frame, InvalidArgument, Sequence
 from autolabel3d.formats import parse_sequence, serialize_sequence
 from autolabel3d.geometry import project_keypoints
+from autolabel3d.pipeline import PipelineConfig, run_pipeline
 from autolabel3d.providers import (NoiseConfig, OracleProviderSet,
                                    gaussian_radius, heatmap_shape,
                                    splat_boxes)
+from autolabel3d.sampling import sample_sparse
 from autolabel3d.simulator import SimConfig, simulate
 
 
@@ -107,6 +111,77 @@ class TestMatch:
                                                       seed=s))
             boxes.append(prov.match(fi, 0, fi).box2d)
         assert boxes[0] != boxes[1]
+
+
+def ids_scene(like, keys):
+    """A sequence annotating each ``(track, frame)`` of ``keys`` with a copy
+    of the first annotation of ``like``."""
+    frames: dict[int, set] = {}
+    for track, frame in keys:
+        frames.setdefault(frame, set()).add(track)
+    return Sequence(id="ids", intrinsics=like.intrinsics, frame_rate=10.0,
+                    frames=[Frame(f, np.eye(3, 4), [
+                        dataclasses.replace(like.frames[0].annotations[0],
+                                            frame_index=f, track_id=t)
+                        for t in sorted(ts)])
+                        for f, ts in sorted(frames.items())])
+
+
+ids = st.integers(0, 2 ** 32 - 1)
+
+
+class TestKeyedStreams:
+    """Every draw is the first draw of numpy's ``default_rng([seed, tag,
+    track, frame(, source)])``, bit for bit, whatever the order of asking."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 72 - 1),
+           keys=st.lists(st.tuples(st.integers(1, 5), ids, ids,
+                                   st.none() | ids), min_size=1, max_size=6),
+           size=st.sampled_from([2, 3]))
+    @example(seed=2 ** 32 + 5, size=2,
+             keys=[(1, 2 ** 32 - 1, 2 ** 32 - 1, 2 ** 32 - 1), (5, 0, 0, None)])
+    def test_draws_are_numpys_keyed_streams(self, seq, seed, keys, size):
+        scene = ids_scene(seq, [(t, f) for _, t, f, _ in keys])
+        noise = NoiseConfig(seed=seed)
+
+        def draws(order):
+            prov = OracleProviderSet(scene, noise)
+            return {key: (prov._uniform(*key), prov._stream(*key).normal(
+                          0.0, 1.5, size=size).tobytes())
+                    for key in (k if k[3] is not None else k[:3]
+                                for k in order)}
+
+        got = draws(keys)
+        assert draws(keys[::-1]) == got
+        for key, (uniform, normal) in got.items():
+            assert uniform.hex() == np.random.default_rng(
+                [seed, *key]).random().hex()
+            assert normal == np.random.default_rng(
+                [seed, *key]).normal(0.0, 1.5, size=size).tobytes()
+            # numpy integers as ids give the same draw
+            assert OracleProviderSet(scene, noise)._uniform(
+                *map(np.int64, key)) == uniform
+
+    @pytest.mark.parametrize("profile", ["medium", "heavy_dropout"])
+    def test_no_generator_is_built_per_draw(self, seq, monkeypatch, profile):
+        sparse = sample_sparse(seq, 2, 0)
+        prov = OracleProviderSet(seq, NOISE_PROFILES[profile])
+
+        def run():
+            merged = run_pipeline(seq, sparse, prov, PipelineConfig())[0]
+            return merged, [prov.estimate(f.frame_index, a.track_id)
+                            for f in seq.frames for a in f.annotations]
+
+        want = run()  # mixes the pools of every tag the profile draws
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Generator built for a draw")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        assert run() == want
+        assert want[0]
 
 
 class TestOcclusionMemo:

@@ -6,6 +6,7 @@ form the artifacts write and read; its pixels are decoded only on request.
 The lookups derived from a frame or a sequence (``Frame.by_track``,
 ``Frame.occlusion``, ``Sequence.frame_map``, ``Sequence.tracks``) are built
 once, on first read, and shared by every reader, which must not change them.
+``TwoFrameCache``, the one mutable type, is a cache made frame by frame.
 """
 
 from __future__ import annotations
@@ -385,6 +386,37 @@ class Pseudolabel:
         if not (0.0 <= self.confidence <= 1.0):
             raise InvalidArgument(
                 f"confidence must be in [0,1], got {self.confidence}")
+
+
+def no_such_frame(seq: "Sequence", p: "Pseudolabel") -> InvalidArgument:
+    """The error for a prediction at a frame ``seq`` lacks."""
+    return InvalidArgument(f"prediction for track {p.track_id} at frame "
+                           f"{p.frame_index}: sequence {seq.id!r} has no "
+                           "such frame")
+
+
+class TwoFrameCache(dict):
+    """A dict whose entries live for the frame that makes or last finds
+    them and the next one: ``start_frame`` moves to a frame, and ``get``
+    finds an entry of the frame before and keeps it for this one. So a cache
+    filled frame by frame holds at most two frames' entries, however long
+    the sequence, and still reuses what consecutive frames share."""
+
+    def __init__(self):
+        super().__init__()
+        self.previous: dict = {}
+        self.frame = None
+
+    def start_frame(self, frame_index: int) -> None:
+        """Move to ``frame_index``; no change if it is the current frame."""
+        if frame_index != self.frame:
+            self.frame, self.previous = frame_index, self.copy()
+            self.clear()
+
+    def get(self, key, default=None):
+        if key in self.previous:
+            self[key] = self.previous.pop(key)
+        return super().get(key, default)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import (Annotation, Box2D, Box3D, CameraIntrinsics, Frame,
                    Heatmap, InvalidArgument, Mask2D, Provenance, Pseudolabel,
-                   Sequence, normalize_yaw)
+                   Sequence, TwoFrameCache, normalize_yaw)
 from .geometry import direction_at
 from .simulator import DEFAULT_INTRINSICS
 
@@ -441,15 +441,16 @@ def iter_weight_maps_text(weights: Iterable[tuple[int, Heatmap]],
     """The text of a weight-maps document, chunk by chunk: the header line,
     then one chunk per ``(frame_index, map)`` pair, in the order given."""
     yield _header("weightmaps") + "\n"
-    # Each distinct row, keyed by its bits (which keep -0.0 apart from
-    # 0.0), is formatted once across all frames, and the distinct values
-    # of the rows not seen before once each.
-    lines: dict[bytes, str] = {}
+    # A row, keyed by its bits (which keep -0.0 apart from 0.0), is
+    # formatted once while consecutive frames hold it, and the distinct
+    # values of the rows not seen in this frame or the one before once each.
+    lines = TwoFrameCache()
     for frame_index, h in weights:
+        lines.start_frame(frame_index)
         rows, cols = h.values.shape
         bits = np.ascontiguousarray(h.values).view(np.uint64)
         keys = [row.tobytes() for row in bits]
-        new = {k: r for r, k in enumerate(keys) if k not in lines}
+        new = {k: r for r, k in enumerate(keys) if lines.get(k) is None}
         if new:
             values, index = np.unique(bits[list(new.values())],
                                       return_inverse=True)

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import InvalidArgument, Pseudolabel, Sequence
+from .core import InvalidArgument, Pseudolabel, Sequence, no_such_frame
 
 DEFAULT_DIST_THRESHOLD = 2.0
 DEFAULT_RECALL_GRID = tuple(round(0.05 * i, 2) for i in range(1, 21))
@@ -163,9 +163,7 @@ def _association(seq: Sequence, preds: list[Pseudolabel],
     for p in preds:
         i = index.get(p.frame_index)
         if i is None:
-            raise InvalidArgument(
-                f"prediction for track {p.track_id} at frame {p.frame_index}:"
-                f" sequence {seq.id!r} has no such frame")
+            raise no_such_frame(seq, p)
         if p.track_id in by_frame[i]:
             raise InvalidArgument(
                 f"duplicate prediction for track {p.track_id} "
@@ -202,6 +200,12 @@ def _frame_assignment(dist, g_ids, p_ids) -> list[tuple[int, int, float]]:
             if g in g_ids and p in p_ids]
     if not free:
         return []
+    # pairs that share no track form a matching, which every optimum of
+    # ``hungarian`` uses whole (a forbidden cell costs more than all the
+    # finite ones): its pairs, in its row order
+    if len({g for g, _, _ in free}) == len({p for _, p, _ in free}) == len(free):
+        return sorted([(g, p, float(d)) for g, p, d in free],
+                      key=lambda pair: g_ids.index(pair[0]))
     cost = np.full((len(g_ids), len(p_ids)), np.inf)
     for g, p, d in free:
         cost[g_ids.index(g), p_ids.index(p)] = d

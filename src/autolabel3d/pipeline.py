@@ -17,7 +17,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .core import (BACKWARD, FORWARD, Box3D, Heatmap, InvalidArgument,
-                   Provenance, Pseudolabel, Sequence)
+                   Provenance, Pseudolabel, Sequence, TwoFrameCache,
+                   no_such_frame)
 from .geometry import (BehindCameraError, DegenerateKeypointsError,
                        lift_keypoints, yaw_from_keypoints)
 from .providers import splat_boxes
@@ -176,19 +177,28 @@ def iter_fncomp_weights(seq: Sequence, pseudolabels: list[Pseudolabel],
                         fn_provider, cfg: PipelineConfig,
                         ) -> Iterator[tuple[int, Heatmap]]:
     """``(frame_index, weight map)`` for each frame of ``seq`` in order,
-    each map made only when the caller asks for it."""
+    each map made only when the caller asks for it. A pseudolabel of a
+    frame ``seq`` lacks fails the first request, before any map is made."""
     by_frame: dict[int, list[Pseudolabel]] = {}
     for p in pseudolabels:
+        if p.frame_index not in seq.frame_map:
+            raise no_such_frame(seq, p)
         by_frame.setdefault(p.frame_index, []).append(p)
     K = seq.intrinsics
     stride = fn_provider.heatmap_stride
-    stamps = getattr(fn_provider, "stamps", {})
+    # the coverage splats share the objectness splats' stamps, which a
+    # frame's boxes of both mostly have in common
+    stamps = getattr(fn_provider, "stamps", TwoFrameCache())
     for f in seq.frames:
         objectness = fn_provider.objectness(f.frame_index)
+        stamps.start_frame(f.frame_index)  # as objectness may have done
         coverage = splat_boxes([p.box2d for p in by_frame.get(f.frame_index, [])],
                                K.width, K.height, stride, stamps)
-        p_fn = np.maximum(objectness.values - coverage.values, 0.0)
-        w = np.clip(1.0 - p_fn, cfg.fncomp_floor, 1.0)
+        # w = clip(1 - max(objectness - coverage, 0), floor, 1), in place
+        w = objectness.values - coverage.values
+        np.maximum(w, 0.0, out=w)
+        np.subtract(1.0, w, out=w)
+        np.clip(w, cfg.fncomp_floor, 1.0, out=w)
         yield f.frame_index, Heatmap(values=w, stride=stride)
 
 

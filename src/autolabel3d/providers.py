@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (AWAY, TOWARDS, Box2D, Heatmap, InvalidArgument, Mask2D,
-                   Sequence)
+                   Sequence, TwoFrameCache)
 from .geometry import PixelKeypoints, project_keypoints
 
 _TAG_DROPOUT = 1
@@ -208,7 +208,10 @@ def splat_boxes(boxes: list[Box2D], width: int, height: int, stride: int,
     hold, at most (2 rows - 1, 2 cols - 1), and a splat is its slice on the
     grid: copies of the same floats, so the heatmap is bit-identical to
     every splat evaluated over the whole grid. ``stamps``, keyed by (rows,
-    cols, sigma), may be shared by calls, as ``OracleProviderSet`` does.
+    cols, sigma), may be shared by calls: a plain dict keeps every stamp,
+    and ``OracleProviderSet``'s ``TwoFrameCache`` those of the frame it
+    splats and the one before, which the coverage splats of
+    ``iter_fncomp_weights`` share.
     """
     rows, cols = heatmap_shape(width, height, stride)
     grid = np.zeros((rows, cols))
@@ -244,7 +247,7 @@ class OracleProviderSet:
         self.seq = seq
         self.noise = noise if noise is not None else NoiseConfig.noiseless()
         self.heatmap_stride = heatmap_stride
-        self.stamps: dict = {}  # splat stamps, see ``splat_boxes``
+        self.stamps = TwoFrameCache()  # splat stamps, see ``splat_boxes``
         self._pools: dict[int, dict] = {}  # per tag, see ``_state``
         seed = self.noise.seed  # read as 32-bit words, lowest first
         self._head = [seed >> b & _M32
@@ -351,5 +354,6 @@ class OracleProviderSet:
         """Max-composed Gaussian splats over every visible GT object."""
         frame = self.seq.frame(frame_index)
         K = self.seq.intrinsics
+        self.stamps.start_frame(frame_index)
         return splat_boxes([a.box2d for a in frame.annotations],
                            K.width, K.height, self.heatmap_stride, self.stamps)

@@ -47,6 +47,14 @@ sim:
 noise: noiseless
 """
 
+# as long, with a dozen objects of the random layout and the oracle's noise
+LONG_NOISY_CONFIG = """\
+sim:
+  duration: 120
+  object_count: 12
+noise: medium
+"""
+
 
 def write_config(tmp_path, text=SMALL_CONFIG):
     p = tmp_path / "run.yaml"
@@ -193,16 +201,21 @@ class TestE2E:
                 tracemalloc.stop()
 
         monkeypatch.setattr(cli, "cmd_fn_weights", traced)
-        out = tmp_path / "out"
-        assert run("--config", write_config(tmp_path, LONG_CONFIG), "--out",
-                   str(out), "e2e") == 0
-        with open(out / "weight_maps.txt", encoding="utf-8") as fh:
-            grids = [line.split()[2:4] for line in fh
-                     if line.startswith("frame ")]
-        assert len(grids) == 120
-        grid_bytes = sum(8 * int(rows) * int(cols) for rows, cols in grids)
-        assert len(peaks) == 1
-        assert peaks[0] < grid_bytes / 4, (peaks[0], grid_bytes)
+        # the noiseless convoy repeats its splats and rows from frame to
+        # frame; the noisy random scene's boxes change size, so nearly every
+        # splat stamp and row text is new
+        for config in (LONG_CONFIG, LONG_NOISY_CONFIG):
+            out = tmp_path / "out"
+            assert run("--config", write_config(tmp_path, config), "--out",
+                       str(out), "e2e") == 0
+            with open(out / "weight_maps.txt", encoding="utf-8") as fh:
+                grids = [line.split()[2:4] for line in fh
+                         if line.startswith("frame ")]
+            assert len(grids) == 120
+            grid_bytes = sum(8 * int(rows) * int(cols) for rows, cols in grids)
+            assert len(peaks) == 1
+            peak = peaks.pop()
+            assert peak < grid_bytes / 4, (config, peak, grid_bytes)
 
     # (--sweep spec, the part of it the error must name)
     BAD_SWEEPS = [("window=1,2", "window=1,2"), ("max_per_track=a", "'a'"),
@@ -482,6 +495,26 @@ class TestStepwise:
         assert "error:" in err and "track 0 at frame 99" in err, err
         assert not (out / "metric_report.txt").exists()
         assert not (out / "per_recall.csv").exists()
+
+    def test_fn_weights_refuses_pseudolabels_of_missing_frames(
+            self, tmp_path, capsys):
+        # pseudolabels of a 20-frame sequence over one simulated again with
+        # 10 frames: fn-weights fails as evaluate does, before writing
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, SMALL_CONFIG.replace("14", "20"))
+        for cmd in ("simulate", "sample", "pseudolabel", "fn-weights"):
+            assert run("--config", cfg, "--out", str(out), cmd) == 0, cmd
+        before = (out / "weight_maps.txt").read_bytes()
+        cfg = write_config(tmp_path, SMALL_CONFIG.replace("14", "10"))
+        assert run("--config", cfg, "--out", str(out), "simulate") == 0
+        errs = []
+        for cmd in ("fn-weights", "evaluate"):
+            capsys.readouterr()
+            assert run("--config", cfg, "--out", str(out), cmd) == 1, cmd
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert "at frame 10: sequence 'sim' has no such frame" in errs[0]
+        assert (out / "weight_maps.txt").read_bytes() == before
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path)

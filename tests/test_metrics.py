@@ -172,6 +172,43 @@ class TestScipyPort:
         assert out.stdout.strip() == "[]"
 
 
+def solver_assignment(dist, g_ids, p_ids):
+    """``metrics._frame_assignment`` as it was when every frame went to
+    ``hungarian``."""
+    cost = np.full((len(g_ids), len(p_ids)), np.inf)
+    for (g, p), d in dist.items():
+        if g in g_ids and p in p_ids:
+            cost[g_ids.index(g), p_ids.index(p)] = d
+    return [(g_ids[i], p_ids[j], float(cost[i, j]))
+            for i, j in hungarian(cost).items()]
+
+
+@st.composite
+def open_tracks(draw):
+    """A frame's distances and its open gt and pred tracks, as many of
+    either: at least two pairs that share no track, at times more that do,
+    and pairs of closed tracks."""
+    ids = st.lists(st.integers(0, 30), min_size=2, max_size=8, unique=True)
+    g_ids, p_ids = draw(ids), draw(ids)
+    k = draw(st.integers(2, min(len(g_ids), len(p_ids))))
+    pairs = list(zip(draw(st.permutations(g_ids))[:k],
+                     draw(st.permutations(p_ids))[:k]))
+    pairs += draw(st.lists(st.tuples(st.sampled_from(g_ids),
+                                     st.sampled_from(p_ids)), max_size=3))
+    pairs += [(31, p_ids[0]), (g_ids[0], 31)]
+    ds = st.floats(0.0, 2.0) | st.sampled_from([0.5, 1.0])
+    return {pair: draw(ds) for pair in pairs}, g_ids, p_ids
+
+
+class TestFrameAssignment:
+    @settings(max_examples=400, deadline=None)
+    @given(open_tracks())
+    # more gt rows than pred columns, the pairs in neither track order
+    @example(({(1, 8): 0.5, (2, 7): 1.0}, [3, 1, 2], [7, 8]))
+    def test_same_pairs_in_the_same_order_as_the_solver(self, frame):
+        assert metrics._frame_assignment(*frame) == solver_assignment(*frame)
+
+
 class TestClearMot:
     def test_perfect_tracking(self):
         seq = make_seq({0: {f: (0, 0, 10 + f) for f in range(5)}}, 5)

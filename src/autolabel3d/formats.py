@@ -6,7 +6,7 @@ line-delimited whitespace-separated text with a versioned header line, so
 golden files diff cleanly and round-trip bit-exactly; a record with more
 fields than its tag carries is refused. Floats are written with 17
 significant digits (lossless for doubles). A weight-map row is formatted
-once per distinct row of a document and the RLE counts a ``Mask2D`` stores
+once per distinct row of its frame and the RLE counts a ``Mask2D`` stores
 once per mask; the bytes are those of formatting every cell and record
 afresh. No mask pixel is read or written.
 """
@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import (Annotation, Box2D, Box3D, CameraIntrinsics, Frame,
                    Heatmap, InvalidArgument, Mask2D, Provenance, Pseudolabel,
-                   Sequence, TwoFrameCache, normalize_yaw)
+                   Sequence, normalize_yaw)
 from .geometry import direction_at
 from .simulator import DEFAULT_INTRINSICS
 
@@ -107,13 +107,16 @@ def parse_kitti(text: str, intrinsics: CameraIntrinsics
     row that is malformed, that a core type refuses, that has a negative
     frame, or that repeats the (frame, track id) of an earlier row other
     than DontCare raises a ``ParseError`` naming its line. Rows of other
-    categories are checked, then counted and dropped.
+    categories are checked, then counted and dropped. Every frame index a
+    row names, DontCare included, is a frame of the sequence, with no
+    annotations if none of its rows is kept; no other index is.
 
     KITTI locations are bottom-center; Box3D uses the geometric center, so y
     is shifted up by h/2 (camera y points down). KITTI dims come as (h, w, l)
     and are reordered to (l, w, h).
     """
     stats = ConversionStats()
+    frames: dict[int, Frame] = {}
     per_frame: dict[int, list[Annotation]] = {}
     seen: set[tuple[int, int]] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -136,6 +139,9 @@ def parse_kitti(text: str, intrinsics: CameraIntrinsics
         try:
             if frame < 0:
                 raise InvalidArgument(f"frame must be >= 0, got {frame}")
+            if frame not in frames:  # Frame checks the index
+                frames[frame] = Frame(frame_index=frame, annotations=(),
+                                      ego_pose=_IDENTITY_POSE)
             if kind == "DontCare":  # KITTI writes -1 for its id and occlusion
                 stats.dropped_dontcare += 1
                 continue
@@ -159,11 +165,9 @@ def parse_kitti(text: str, intrinsics: CameraIntrinsics
         per_frame.setdefault(frame, []).append(ann)
         stats.kept += 1
 
-    frames = tuple(Frame(frame_index=i, ego_pose=_IDENTITY_POSE,
-                         annotations=tuple(per_frame[i]))
-                   for i in sorted(per_frame))
-    return Sequence(id="kitti", intrinsics=intrinsics, frames=frames,
-                    frame_rate=10.0), stats
+    return Sequence(id="kitti", intrinsics=intrinsics, frames=tuple(
+        replace(f, annotations=tuple(per_frame.get(i, ())))
+        for i, f in sorted(frames.items())), frame_rate=10.0), stats
 
 
 # ---------------------------------------------------------------------------
@@ -441,22 +445,18 @@ def iter_weight_maps_text(weights: Iterable[tuple[int, Heatmap]],
     """The text of a weight-maps document, chunk by chunk: the header line,
     then one chunk per ``(frame_index, map)`` pair, in the order given."""
     yield _header("weightmaps") + "\n"
-    # A row, keyed by its bits (which keep -0.0 apart from 0.0), is
-    # formatted once while consecutive frames hold it, and the distinct
-    # values of the rows not seen in this frame or the one before once each.
-    lines = TwoFrameCache()
+    # A frame's distinct rows, keyed by their bits (which keep -0.0 apart
+    # from 0.0), are formatted once each, from its distinct values.
     for frame_index, h in weights:
-        lines.start_frame(frame_index)
         rows, cols = h.values.shape
         bits = np.ascontiguousarray(h.values).view(np.uint64)
         keys = [row.tobytes() for row in bits]
-        new = {k: r for r, k in enumerate(keys) if lines.get(k) is None}
-        if new:
-            values, index = np.unique(bits[list(new.values())],
-                                      return_inverse=True)
-            texts = [fmt_float(v) for v in values.view(np.float64)]
-            for k, row in zip(new, index.reshape(len(new), cols).tolist()):
-                lines[k] = " ".join([texts[i] for i in row])
+        distinct = {k: r for r, k in enumerate(keys)}
+        values, index = np.unique(bits[list(distinct.values())],
+                                  return_inverse=True)
+        texts = [fmt_float(v) for v in values.view(np.float64)]
+        lines = {k: " ".join([texts[i] for i in row]) for k, row in
+                 zip(distinct, index.reshape(len(distinct), cols).tolist())}
         yield "\n".join([f"frame {frame_index} {rows} {cols} {h.stride}",
                          *[lines[k] for k in keys]]) + "\n"
 

@@ -6,8 +6,6 @@ pairs within it and their distances: AMOTA runs a CLEAR-MOT pass per
 confidence threshold over that table, and IDF1 counts trajectory overlaps
 from its pairs. CLEAR-MOT keeps the previous frame's correspondence alive
 while it stays within the threshold, so identity switches are well defined.
-A frame's assignment depends only on which of its gt and pred tracks are
-still open, so passes that share a memo solve each distinct one once.
 AMOTA's pass at each lower threshold steps only the frames holding a
 prediction of that confidence or whose carried-in correspondences differ
 in order (their order is the order their distances are summed in).
@@ -213,7 +211,7 @@ def _frame_assignment(dist, g_ids, p_ids) -> list[tuple[int, int, float]]:
             for i, j in hungarian(cost).items()]
 
 
-def _frame_step(frame, pos, prev, floor, memo):
+def _frame_step(frame, prev, floor):
     """One frame of a CLEAR-MOT pass at ``floor`` after ``prev``: ``prev``,
     the frame's correspondences, its new (gt, pred, distance) pairs, its
     distances in summing order and how many predictions it keeps."""
@@ -230,24 +228,18 @@ def _frame_step(frame, pos, prev, floor, memo):
     # each match closes one gt and one kept pred; none open, none to assign
     if dist and len(matched) < min(len(gts), len(prs)):
         used = set(matched.values())
-        key = (pos, tuple([g for g in gts if g not in matched]),
-               tuple([p for p in prs if p not in used]))
-        pairs = memo.get(key)
-        if pairs is None:
-            pairs = memo[key] = _frame_assignment(dist, *key[1:])
+        pairs = _frame_assignment(dist, [g for g in gts if g not in matched],
+                                  [p for p in prs if p not in used])
         for g, p, d in pairs:
             matched[g] = p
             dists.append(d)
     return prev, matched, pairs, dists, len(prs)
 
 
-def _clear_mot_pass(table, floor: float, memo: dict,
-                    kept: list) -> tuple[Counts, float]:
+def _clear_mot_pass(table, floor: float, kept: list) -> tuple[Counts, float]:
     """CLEAR-MOT over the predictions with confidence >= ``floor``: the
     previous frame's correspondences are kept while they stay within the
-    threshold, the rest are matched by minimum total distance. ``memo``
-    keeps each frame's assignment by the tracks left open in it, which
-    fix its cost matrix; passes over one table may share it. ``kept`` holds
+    threshold, the rest are matched by minimum total distance. ``kept`` holds
     each frame's ``_frame_step`` from the pass at the next higher of the
     table's confidences, reused unless the frame holds one equal to
     ``floor`` or gets other correspondences carried in (a dict is never
@@ -261,7 +253,7 @@ def _clear_mot_pass(table, floor: float, memo: dict,
         step = kept[pos]
         if (step is None or floor in frame[1].values() or (step[0] is not prev
                 and list(step[0].items()) != list(prev.items()))):
-            step = kept[pos] = _frame_step(frame, pos, prev, floor, memo)
+            step = kept[pos] = _frame_step(frame, prev, floor)
         _, matched, pairs, dists, n = step
         for d in dists:
             dist_sum += d
@@ -276,25 +268,23 @@ def _clear_mot_pass(table, floor: float, memo: dict,
     return Counts(tp, n_prs - tp, gt_total - tp, idsw, gt_total), dist_sum
 
 
-def _threshold_sweep(table, memo: dict) -> list[tuple[float, Counts, float]]:
+def _threshold_sweep(table) -> list[tuple[float, Counts, float]]:
     """(threshold, counts, matched distance sum) of a CLEAR-MOT pass at each
     distinct confidence, falling; each pass reuses the frames of the last."""
     confs = {c for _, cs, _ in table for c in cs.values()}
     kept: list = [None] * len(table)
-    return [(th, *_clear_mot_pass(table, th, memo, kept))
+    return [(th, *_clear_mot_pass(table, th, kept))
             for th in sorted(confs, reverse=True)]
 
 
 def clear_mot(seq: Sequence, preds: list[Pseudolabel],
               dist_threshold: float = DEFAULT_DIST_THRESHOLD, *,
-              table=None, memo: Optional[dict] = None,
-              ) -> tuple[float, float, Counts, float]:
+              table=None) -> tuple[float, float, Counts, float]:
     """Returns (mota, motp, counts, total matched distance). ``table``
-    (from ``_association``) and ``memo`` let ``evaluate`` share them."""
+    (from ``_association``) lets ``evaluate`` share it."""
     if table is None:
         table = _association(seq, preds, dist_threshold)
-    c, dist_sum = _clear_mot_pass(table, -math.inf, {} if memo is None
-                                  else memo, [None] * len(table))
+    c, dist_sum = _clear_mot_pass(table, -math.inf, [None] * len(table))
     mota = 1.0 - (c.fp + c.fn + c.idsw) / c.gt_total if c.gt_total else 1.0
     motp = dist_sum / c.tp if c.tp else 0.0
     return mota, motp, c, dist_sum
@@ -330,8 +320,7 @@ def idf1(seq: Sequence, preds: list[Pseudolabel],
 def amota_amotp(seq: Sequence, preds: list[Pseudolabel],
                 dist_threshold: float = DEFAULT_DIST_THRESHOLD,
                 recall_grid: tuple[float, ...] = DEFAULT_RECALL_GRID, *,
-                table=None, memo: Optional[dict] = None,
-                ) -> tuple[float, float, list[RecallPoint]]:
+                table=None) -> tuple[float, float, list[RecallPoint]]:
     """MOTAR and MOTP averaged over a recall sweep (nuScenes convention).
 
     For each grid recall the threshold achieving the smallest recall >= r is
@@ -347,8 +336,7 @@ def amota_amotp(seq: Sequence, preds: list[Pseudolabel],
         table = _association(seq, preds, dist_threshold)
     # (recall, counts, mean matched distance) per threshold
     sweep = [(c.tp / gt_total, c, dist_sum / c.tp if c.tp else None)
-             for _, c, dist_sum in
-             _threshold_sweep(table, {} if memo is None else memo)]
+             for _, c, dist_sum in _threshold_sweep(table)]
 
     points: list[RecallPoint] = []
     motars = []
@@ -385,12 +373,10 @@ def evaluate(seq: Sequence, preds: list[Pseudolabel],
              recall_grid: tuple[float, ...] = DEFAULT_RECALL_GRID,
              ) -> MetricReport:
     table = _association(seq, preds, dist_threshold)
-    memo: dict = {}
-    mota, motp, counts, _ = clear_mot(seq, preds, dist_threshold,
-                                      table=table, memo=memo)
+    mota, motp, counts, _ = clear_mot(seq, preds, dist_threshold, table=table)
     id_f1 = idf1(seq, preds, dist_threshold, table=table)
     amota, amotp, points = amota_amotp(seq, preds, dist_threshold, recall_grid,
-                                       table=table, memo=memo)
+                                       table=table)
     return MetricReport(mota=mota, motp=motp, idf1=id_f1, amota=amota,
                         amotp=amotp, counts=counts,
                         dist_threshold=dist_threshold,

@@ -780,6 +780,33 @@ class TestParseKitti:
         assert f"error: {labels}: line 3: {named}" in err, err
         assert not (tmp_path / "out").exists()
 
+    def test_frames_without_a_vehicle_are_kept(self, tmp_path):
+        # frames 1 and 2 hold only a Pedestrian: they stay, empty, so the
+        # Car's frames 0 and 3 are not made adjacent
+        walker = self.GOOD_ROW.replace("0 0 Car", "{} 5 Pedestrian")
+        labels = tmp_path / "labels.txt"
+        labels.write_text("\n".join([
+            self.GOOD_ROW, walker.format(1), walker.format(2),
+            self.GOOD_ROW.replace("0 0 Car", "3 0 Car")]) + "\n")
+        out = tmp_path / "out"
+        assert run("--out", str(out), "parse-kitti",
+                   "--labels", str(labels)) == 0
+        seq = formats.parse_sequence((out / "sequence.txt").read_text())
+        assert [(f.frame_index, len(f.annotations)) for f in seq.frames] \
+            == [(0, 1), (1, 0), (2, 0), (3, 1)]
+
+    def test_dontcare_frame_past_32_bits_names_the_line(self, tmp_path,
+                                                        capsys):
+        labels = tmp_path / "labels.txt"
+        labels.write_text(f"{self.GOOD_ROW}\n4294967296 -1 DontCare -1 -1 -10 "
+                          "0 0 10 10 -1 -1 -1 -1000 -1000 -1000 -10\n")
+        assert run("--out", str(tmp_path / "out"), "parse-kitti",
+                   "--labels", str(labels)) == 1
+        err = capsys.readouterr().err
+        assert (f"error: {labels}: line 2: frame_index must be < 2**32, "
+                "got 4294967296") in err, err
+        assert not (tmp_path / "out").exists()
+
 
     # (P2 field made bad, its value, what the error must say)
     @pytest.mark.parametrize("field, value, named", [

@@ -46,6 +46,20 @@ class TestKittiLabels:
         with pytest.raises(ParseError, match="'score'"):
             parse_kitti(LABEL_LINE + " high", K)
 
+    def test_every_named_frame_is_a_frame(self):
+        # a frame whose rows are all dropped stays, empty; an index no row
+        # names is not filled in, however large the last one is
+        dontcare = ("{} -1 DontCare -1 -1 -10 0 0 10 10 -1 -1 -1 -1000 -1000 "
+                    "-1000 -10")
+        walker = LABEL_LINE.replace("0 2 Car", "2 7 Pedestrian")
+        text = "\n".join([LABEL_LINE, walker, dontcare.format(5),
+                          dontcare.format(2 ** 32 - 1)])
+        seq, stats = parse_kitti(text, K)
+        assert [(f.frame_index, len(f.annotations)) for f in seq.frames] \
+            == [(0, 1), (2, 0), (5, 0), (2 ** 32 - 1, 0)]
+        assert (stats.kept, stats.dropped_dontcare,
+                stats.dropped_category) == (1, 2, 1)
+
     def test_18_token_score(self):
         seq, _ = parse_kitti(LABEL_LINE + " 0.9", K)
         assert seq.frames[0].annotations == parse_kitti(
@@ -446,8 +460,8 @@ class TestWeightMapSerializer:
     @example(FIXED_WEIGHT_MAPS[2])
     @example(FIXED_WEIGHT_MAPS[3])
     def test_matches_per_cell_formatting(self, maps):
-        # the row cache is shared across frames: a stale or conflated
-        # entry shows here
+        # each frame formats its distinct rows once: a conflated entry
+        # shows here
         assert formats.serialize_weight_maps(maps) == \
             per_cell_weight_maps(maps)
 

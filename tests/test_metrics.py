@@ -397,31 +397,6 @@ class TestEvaluate:
         assert rep.dist_threshold == 2.0
         assert len(rep.per_recall) == 20
 
-    def test_sweep_solves_no_assignment_clear_mot_did_not(self, monkeypatch):
-        # one confidence for every prediction: AMOTA's single threshold
-        # keeps the same tracks open in every frame as CLEAR-MOT, so with
-        # the shared memo it solves nothing new
-        rng = np.random.default_rng(5)
-        seq = make_seq({t: {f: (3.0 * t, 0, 10 + f) for f in range(12)}
-                        for t in range(5)}, 12)
-        preds = [pl(a.track_id + 10 * (f.frame_index // 4), f.frame_index,
-                    np.add(a.box3d.center, rng.normal(0, 0.8, 3)), conf=0.7)
-                 for f in seq.frames for a in f.annotations]
-        lsap = metrics._lsap
-        calls = []
-
-        def counted(rows):
-            calls.append(rows)
-            return lsap(rows)
-
-        monkeypatch.setattr(metrics, "_lsap", counted)
-        clear_mot(seq, preds)
-        idf1(seq, preds)
-        alone = len(calls)
-        calls.clear()
-        evaluate(seq, preds)
-        assert 1 < len(calls) <= alone
-
 
 class TestOffSequencePredictions:
     @pytest.mark.parametrize("fn", [clear_mot, idf1, amota_amotp, evaluate],
@@ -617,7 +592,7 @@ class TestSweepReuse:
             return
         table = metrics._association(seq, preds, 2.0)
         got = [(th, c, s.hex()) for th, c, s in
-               metrics._threshold_sweep(table, {})]
+               metrics._threshold_sweep(table)]
         want = [(th, c, s.hex()) for th, c, s in
                 reference_sweep(seq, preds, 2.0)]
         assert got == want

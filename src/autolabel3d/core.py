@@ -6,7 +6,6 @@ form the artifacts write and read; its pixels are decoded only on request.
 The lookups derived from a frame or a sequence (``Frame.by_track``,
 ``Frame.occlusion``, ``Sequence.frame_map``, ``Sequence.tracks``) are built
 once, on first read, and shared by every reader, which must not change them.
-``TwoFrameCache``, the one mutable type, is a cache made frame by frame.
 """
 
 from __future__ import annotations
@@ -86,6 +85,9 @@ class Box2D:
         _require_finite("box2d", self.cx, self.cy, self.w, self.h)
         if self.w <= 0 or self.h <= 0:
             raise InvalidArgument("box2d sides must be positive")
+        if not math.isfinite(self.w * self.h):
+            raise InvalidArgument(
+                f"box2d area must be finite, got {self.w!r} x {self.h!r}")
 
     @property
     def left(self):
@@ -393,30 +395,6 @@ def no_such_frame(seq: "Sequence", p: "Pseudolabel") -> InvalidArgument:
     return InvalidArgument(f"prediction for track {p.track_id} at frame "
                            f"{p.frame_index}: sequence {seq.id!r} has no "
                            "such frame")
-
-
-class TwoFrameCache(dict):
-    """A dict whose entries live for the frame that makes or last finds
-    them and the next one: ``start_frame`` moves to a frame, and ``get``
-    finds an entry of the frame before and keeps it for this one. So a cache
-    filled frame by frame holds at most two frames' entries, however long
-    the sequence, and still reuses what consecutive frames share."""
-
-    def __init__(self):
-        super().__init__()
-        self.previous: dict = {}
-        self.frame = None
-
-    def start_frame(self, frame_index: int) -> None:
-        """Move to ``frame_index``; no change if it is the current frame."""
-        if frame_index != self.frame:
-            self.frame, self.previous = frame_index, self.copy()
-            self.clear()
-
-    def get(self, key, default=None):
-        if key in self.previous:
-            self[key] = self.previous.pop(key)
-        return super().get(key, default)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .core import (BACKWARD, FORWARD, Box3D, Heatmap, InvalidArgument,
-                   Provenance, Pseudolabel, Sequence, TwoFrameCache,
-                   no_such_frame)
+                   Provenance, Pseudolabel, Sequence, no_such_frame)
 from .geometry import (BehindCameraError, DegenerateKeypointsError,
                        lift_keypoints, yaw_from_keypoints)
 from .providers import splat_boxes
@@ -188,10 +187,9 @@ def iter_fncomp_weights(seq: Sequence, pseudolabels: list[Pseudolabel],
     stride = fn_provider.heatmap_stride
     # the coverage splats share the objectness splats' stamps, which a
     # frame's boxes of both mostly have in common
-    stamps = getattr(fn_provider, "stamps", TwoFrameCache())
+    stamps = getattr(fn_provider, "stamps", {})
     for f in seq.frames:
         objectness = fn_provider.objectness(f.frame_index)
-        stamps.start_frame(f.frame_index)  # as objectness may have done
         coverage = splat_boxes([p.box2d for p in by_frame.get(f.frame_index, [])],
                                K.width, K.height, stride, stamps)
         # w = clip(1 - max(objectness - coverage, 0), floor, 1), in place

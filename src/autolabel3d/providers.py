@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (AWAY, TOWARDS, Box2D, Heatmap, InvalidArgument, Mask2D,
-                   Sequence, TwoFrameCache)
+                   Sequence)
 from .geometry import PixelKeypoints, project_keypoints
 
 _TAG_DROPOUT = 1
@@ -207,15 +207,16 @@ def splat_boxes(boxes: list[Box2D], width: int, height: int, stride: int,
     gets one stamp of the full-grid formula over the offsets the grid can
     hold, at most (2 rows - 1, 2 cols - 1), and a splat is its slice on the
     grid: copies of the same floats, so the heatmap is bit-identical to
-    every splat evaluated over the whole grid. ``stamps``, keyed by (rows,
-    cols, sigma), may be shared by calls: a plain dict keeps every stamp,
-    and ``OracleProviderSet``'s ``TwoFrameCache`` those of the frame it
-    splats and the one before, which the coverage splats of
-    ``iter_fncomp_weights`` share.
+    every splat evaluated over the whole grid (an infinite sigma's stamp is
+    ones). ``stamps``, keyed by (rows, cols, sigma), may be shared by calls:
+    it comes in holding the previous call's stamps and goes out holding just
+    this call's, each reused from the previous call's where it was there.
     """
     rows, cols = heatmap_shape(width, height, stride)
     grid = np.zeros((rows, cols))
     stamps = {} if stamps is None else stamps
+    previous = stamps.copy()
+    stamps.clear()
     for b in boxes:
         ccol = int(b.cx / stride)
         crow = int(b.cy / stride)
@@ -223,13 +224,15 @@ def splat_boxes(boxes: list[Box2D], width: int, height: int, stride: int,
             continue
         radius = gaussian_radius(b.h / stride, b.w / stride)
         sigma = max(radius / 3.0, 1e-6)
-        stamp = stamps.get((rows, cols, sigma))
+        key = rows, cols, sigma
+        stamp = stamps.get(key, previous.get(key))
         if stamp is None:
-            reach = math.ceil(sigma * math.sqrt(2 * _EXP_UNDERFLOW))
+            reach = math.ceil(min(rows + cols,
+                                  sigma * math.sqrt(2 * _EXP_UNDERFLOW)))
             sr, sc = min(reach, rows - 1), min(reach, cols - 1)
             ys, xs = np.ogrid[-sr:sr + 1, -sc:sc + 1]
-            stamp = stamps[rows, cols, sigma] = np.exp(
-                -(xs ** 2 + ys ** 2) / (2 * sigma ** 2))
+            stamp = np.exp(-(xs ** 2 + ys ** 2) / (2 * sigma ** 2))
+        stamps[key] = stamp
         sr, sc = stamp.shape[0] // 2, stamp.shape[1] // 2  # its centre cell
         r0, r1 = max(crow - sr, 0), min(crow + sr + 1, rows)
         c0, c1 = max(ccol - sc, 0), min(ccol + sc + 1, cols)
@@ -247,7 +250,7 @@ class OracleProviderSet:
         self.seq = seq
         self.noise = noise if noise is not None else NoiseConfig.noiseless()
         self.heatmap_stride = heatmap_stride
-        self.stamps = TwoFrameCache()  # splat stamps, see ``splat_boxes``
+        self.stamps = {}  # splat stamps, see ``splat_boxes``
         self._pools: dict[int, dict] = {}  # per tag, see ``_state``
         seed = self.noise.seed  # read as 32-bit words, lowest first
         self._head = [seed >> b & _M32
@@ -354,6 +357,5 @@ class OracleProviderSet:
         """Max-composed Gaussian splats over every visible GT object."""
         frame = self.seq.frame(frame_index)
         K = self.seq.intrinsics
-        self.stamps.start_frame(frame_index)
         return splat_boxes([a.box2d for a in frame.annotations],
                            K.width, K.height, self.heatmap_stride, self.stamps)

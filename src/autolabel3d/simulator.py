@@ -300,6 +300,14 @@ def _spawn_objects(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
     return np.array(objects, dtype=float)
 
 
+def _require_finite_motion(t: int, *arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise InvalidArgument(
+            f"sim: frame {t}: the motion leaves the float range; see "
+            "sim.frame_rate, sim.ego_speed, sim.object_speed, sim.turn_rate "
+            "and sim.ego_arc_radius")
+
+
 def simulate(cfg: SimConfig) -> Sequence:
     rng = np.random.default_rng(cfg.seed)
     K = CameraIntrinsics(**cfg.intrinsics)
@@ -318,6 +326,7 @@ def simulate(cfg: SimConfig) -> Sequence:
 
     frames = []
     for t in range(cfg.duration):
+        _require_finite_motion(t, [ego_x, ego_z, ego_phi], x, z, phi)
         cos_e, sin_e = math.cos(ego_phi), math.sin(ego_phi)
         # world->camera rotation, its rows the camera axes in world
         # coordinates (see the module docstring for the batched products)
@@ -329,6 +338,7 @@ def simulate(cfg: SimConfig) -> Sequence:
         sin_p = np.array([math.sin(p) for p in phi.tolist()])
         cos_p = np.array([math.cos(p) for p in phi.tolist()])
         centers = (np.stack([x, y, z], axis=1) - ego_t) @ rot.T
+        _require_finite_motion(t, pose, centers)
         ids = np.flatnonzero(centers[:, 2] > cfg.min_depth)
         hc = np.stack([sin_p[ids], zero[ids], cos_p[ids]], axis=1) @ rot.T
         yaws = [math.atan2(-hz, hx) for hx, hz in hc[:, ::2].tolist()]

@@ -808,6 +808,34 @@ class TestParseKitti:
         assert not (tmp_path / "out").exists()
 
 
+    def labels_with_edges(self, tmp_path, edges):
+        """The test labels with the first row's bbox edges starting with
+        ``edges`` (left, top, right, bottom)."""
+        lines = (DATA / "kitti_labels.txt").read_text().splitlines()
+        row = lines[0].split()
+        row[6:6 + len(edges)] = edges
+        labels = tmp_path / "labels.txt"
+        labels.write_text("\n".join([" ".join(row)] + lines[1:]) + "\n")
+        return str(labels)
+
+    def test_box_too_wide_for_a_finite_splat_gets_weight_maps(self,
+                                                              tmp_path):
+        labels = self.labels_with_edges(tmp_path, ["-1e160", "120", "1e160"])
+        out = str(tmp_path / "out")
+        assert run("--out", out, "parse-kitti", "--labels", labels,
+                   "--calib", str(DATA / "kitti_calib.txt")) == 0
+        for stage in ("sample", "pseudolabel", "fn-weights"):
+            assert run("--out", out, stage) == 0, stage
+
+    def test_box_of_infinite_area_names_the_line(self, tmp_path, capsys):
+        labels = self.labels_with_edges(
+            tmp_path, ["-1e300", "-1e300", "1e300", "1e300"])
+        assert run("--out", str(tmp_path / "out"), "parse-kitti",
+                   "--labels", labels,
+                   "--calib", str(DATA / "kitti_calib.txt")) == 1
+        err = capsys.readouterr().err
+        assert f"error: {labels}: line 1: box2d area must be finite" in err, err
+
     # (P2 field made bad, its value, what the error must say)
     @pytest.mark.parametrize("field, value, named", [
         pytest.param(0, "0", "focal lengths must be positive", id="fx-0"),

@@ -209,6 +209,8 @@ def known(sim, flags=()):
 @known({"length_range": [-2, -1]})
 @known({"seed": -1})
 @known({}, ["--seed", "-1"])
+@known({"frame_rate": 2.2250738585072014e-308})
+@known({"ego_motion": "arc", "ego_arc_radius": 1e-308})
 def test_whole_config_runs_or_names_a_key(run):
     data, flags, keys = run
     code, err = run_e2e(data, *flags)

@@ -1,9 +1,12 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from autolabel3d import core
 from autolabel3d.core import (Annotation, Box2D, Box3D, CameraIntrinsics,
                               Frame, Heatmap, InvalidArgument, Mask2D,
                               Sequence, _rect_union_area, iou_2d,
@@ -135,6 +138,21 @@ class TestMaskRle:
             rle_decode([3, 4], (2, 2))
         with pytest.raises(DecodeError):
             rle_decode([-1, 5], (2, 2))
+
+
+class TestBox2d:
+    def test_rejects_infinite_area(self):
+        with pytest.raises(InvalidArgument, match="area must be finite"):
+            Box2D(cx=0, cy=0, w=1e300, h=1e300)
+
+
+def test_every_core_class_is_frozen_or_an_exception():
+    # the module docstring's promise: every type is an immutable value
+    for cls in vars(core).values():
+        if inspect.isclass(cls) and cls.__module__ == core.__name__:
+            assert (issubclass(cls, Exception)
+                    or dataclasses.is_dataclass(cls)
+                    and cls.__dataclass_params__.frozen), cls.__name__
 
 
 class TestBox3d:

@@ -361,6 +361,29 @@ class TestObjectness:
             assert stamp.shape[0] <= 2 * rows - 1
             assert stamp.shape[1] <= 2 * cols - 1
 
+    def test_stamps_hold_one_call_reused_from_the_one_before(self):
+        def key(b):  # a 100 x 100 image at stride 4 is a 25 x 25 grid
+            return 25, 25, max(gaussian_radius(b.h / 4, b.w / 4) / 3, 1e-6)
+
+        a, b, c = (Box2D(cx=50, cy=50, w=s, h=s) for s in (10.0, 20.0, 30.0))
+        off = Box2D(cx=150, cy=50, w=40, h=40)  # centre cell off the grid
+        stamps = {}
+        splat_boxes([a, b, a], 100, 100, 4, stamps)
+        assert stamps.keys() == {key(a), key(b)}
+        first = dict(stamps)
+        splat_boxes([b, c, off], 100, 100, 4, stamps)
+        assert stamps.keys() == {key(b), key(c)}  # a's is gone
+        assert stamps[key(b)] is first[key(b)]
+        second = dict(stamps)
+        splat_boxes([c, c], 100, 100, 4, stamps)
+        assert stamps.keys() == {key(c)}
+        assert stamps[key(c)] is second[key(c)]
+
+    def test_splat_of_infinite_sigma_is_ones(self):
+        box = Box2D(cx=50, cy=50, w=2e300, h=60)
+        assert math.isinf(gaussian_radius(box.h / 4, box.w / 4))
+        assert (splat_boxes([box], 100, 100, 4).values == 1.0).all()
+
     def test_each_provider_set_keeps_its_own_stamps(self, seq):
         one = OracleProviderSet(seq, NoiseConfig.noiseless())
         two = OracleProviderSet(seq, NoiseConfig.noiseless())

@@ -38,16 +38,20 @@ def _require_finite(name, *values):
 
 
 def _require_id(name, value):
-    """Ids are one 32-bit word each of the oracle's noise keys."""
+    """Ids lie in [0, 2**32). This is input validation only: the oracle
+    absorbs each id as one 64-bit word of its noise keys."""
     if not 0 <= value < 2 ** 32:
         bound = ">= 0" if value < 0 else "< 2**32"
         raise InvalidArgument(f"{name} must be {bound}, got {value}")
 
 
 def normalize_yaw(theta: float) -> float:
-    """Map an angle to the canonical range (-pi, pi], keeping pi (not -pi)."""
+    """Map an angle to the canonical range (-pi, pi], keeping pi (not -pi);
+    an angle already in the range comes back as it is."""
     if not math.isfinite(theta):
         raise InvalidArgument(f"yaw must be finite, got {theta!r}")
+    if -math.pi < theta <= math.pi:
+        return float(theta)
     r = theta % (2.0 * math.pi)
     if r > math.pi:
         r -= 2.0 * math.pi

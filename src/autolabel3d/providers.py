@@ -2,18 +2,18 @@
 
 The oracle implementations answer queries from simulator ground truth plus
 parameterized noise, so the propagation pipeline and ablations can run at
-desk scale. A draw is the first of numpy's ``default_rng([seed, purpose,
-track, frame(, source)])``, bit for bit, whatever the call order. Its
-SeedSequence pool for ``[seed, purpose, track, frame]`` is mixed once per
-annotation, in one array pass; the draw mixes in the source word and seeds
-PCG64 in integer arithmetic. ``core`` keeps ids one 32-bit word each.
+desk scale. Each noise draw comes from a keyed counter hash (Salmon et al.
+2011, "Parallel Random Numbers: As Easy as 1, 2, 3"): SplitMix64 over the
+words of ``(seed, purpose, track, frame[, source])``. A draw depends on its
+key alone, never on the order of the calls.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
@@ -28,72 +28,22 @@ _TAG_DEPTH = 3
 _TAG_DIMS = 4
 _TAG_DIRECTION = 5
 
-# numpy's SeedSequence: a hash step XORs a word with one constant and
-# multiplies it by the next; the entropy hash (A) mixes the key into the
-# pool, the state hash (B) reads the state out of it. Then PCG64 (XSL-RR).
-_M32, _M64, _M128 = 2 ** 32 - 1, 2 ** 64 - 1, 2 ** 128 - 1
-_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
-_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
-_MIX_L, _MIX_R = 0xca01f9dd, 0x4973f715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M64 = 2 ** 64 - 1
+_GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64's increment, 2**64 / golden ratio
+_NORMAL = NormalDist()
 
 
-def _hash_steps(init: int, mult: int, n: int) -> list[tuple[int, int]]:
-    """The (xor, multiply) constants of a hash's first ``n`` steps."""
-    c = list(itertools.accumulate(range(n), lambda c, _: c * mult & _M32,
-                                  initial=init))
-    return list(zip(c, c[1:]))
+def _mix64(z: int) -> int:
+    """SplitMix64's finaliser (Steele, Lea & Flood 2014): a bijection of
+    64-bit words in which every output bit depends on every input bit."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _M64
+    return z ^ z >> 31
 
 
-_STATE_STEPS = _hash_steps(_INIT_B, _MULT_B, 8)  # generate_state(4, uint64)
-
-
-def _seed_pools(head: list[int], keys: np.ndarray) -> np.ndarray:
-    """SeedSequence's pool after the words ``head + [track, frame]``, one
-    row per ``(track, frame)`` row of ``keys``: ``mix_entropy`` over all rows
-    at once, in uint64 arrays masked to 32 bits."""
-    words = [np.full(len(keys), w, np.uint64) for w in head] + list(keys.T)
-    steps = iter(_hash_steps(_INIT_A, _MULT_A, 4 * len(words)))
-
-    def hashmix(v):
-        x, m = next(steps)
-        v = (v ^ x) * m & _M32
-        return v ^ v >> 16
-
-    def mix(x, y):
-        r = (_MIX_L * x - _MIX_R * y) & _M32
-        return r ^ r >> 16
-
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    return np.stack(pool, axis=1)
-
-
-def _pcg64_state(pool, extra: Optional[int],
-                 extra_steps: list[tuple[int, int]]) -> tuple[int, int]:
-    """PCG64's ``(state, inc)`` as ``default_rng`` seeds it from a
-    SeedSequence with this pool, after mixing in one more word ``extra``
-    (with the entropy hash's next four ``extra_steps``) unless it is None."""
-    if extra is not None:
-        pool, extra = list(pool), int(extra)  # a numpy integer would wrap
-        for i, (x, m) in enumerate(extra_steps):
-            h = (extra ^ x) * m & _M32
-            r = (_MIX_L * pool[i] - _MIX_R * (h ^ h >> 16)) & _M32
-            pool[i] = r ^ r >> 16
-    w = []
-    for i, (x, m) in enumerate(_STATE_STEPS):
-        v = (pool[i & 3] ^ x) * m & _M32
-        w.append(v ^ v >> 16)
-    # two little-endian uint64 pairs, each (high, low) of a 128-bit number
-    seed = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
-    inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & _M128 | 1
-    return ((inc + seed) * _PCG_MULT + inc) & _M128, inc
+def _absorb(h: int, word: int) -> int:
+    """The hash ``h`` with one more 64-bit word mixed in."""
+    return _mix64((h + _GOLDEN ^ word) & _M64)
 
 
 def _exp_or_inf(x: float) -> float:
@@ -251,42 +201,38 @@ class OracleProviderSet:
         self.noise = noise if noise is not None else NoiseConfig.noiseless()
         self.heatmap_stride = heatmap_stride
         self.stamps = {}  # splat stamps, see ``splat_boxes``
-        self._pools: dict[int, dict] = {}  # per tag, see ``_state``
-        seed = self.noise.seed  # read as 32-bit words, lowest first
-        self._head = [seed >> b & _M32
-                      for b in range(0, seed.bit_length() or 1, 32)]
-        n = 4 * (len(self._head) + 3)  # entropy hash steps of a 4-part key
-        self._extra_steps = _hash_steps(_INIT_A, _MULT_A, n + 4)[n:]
-        self._gen = np.random.Generator(np.random.PCG64(0))  # normal draws
+        seed = self.noise.seed  # its 64-bit words, lowest first
+        words = [seed >> b & _M64 for b in range(0, seed.bit_length() or 1, 64)]
+        self._seed_hash = reduce(_absorb, words, len(words))
+        self._hashes: dict[tuple[int, int, int], int] = {}  # see ``_hash``
 
-    def _state(self, tag: int, track: int, frame: int,
-               source: Optional[int] = None) -> tuple[int, int]:
-        """PCG64's ``(state, inc)`` in ``default_rng([seed, tag,
-        track, frame(, source)])``. A tag's pools, one per annotation, are
-        mixed the first time the tag is drawn."""
-        pools = self._pools.get(tag)
-        if pools is None:
-            keys = [(a.track_id, f.frame_index)
-                    for f in self.seq.frames for a in f.annotations]
-            rows = _seed_pools(self._head + [tag], np.array(keys, np.uint64))
-            pools = self._pools[tag] = dict(zip(keys, map(tuple, rows.tolist())))
-        return _pcg64_state(pools[track, frame], source, self._extra_steps)
+    def _hash(self, tag: int, track: int, frame: int,
+              source: Optional[int] = None) -> int:
+        """The key's hash: the seed's, then ``tag``, ``track``, ``frame``
+        and ``source`` (when given) absorbed one word each. The hash up to
+        ``frame`` is memoised."""
+        h = self._hashes.get((tag, track, frame))
+        if h is None:
+            h = self._seed_hash
+            for word in (tag, track, frame):
+                h = _absorb(h, int(word))  # a numpy integer would overflow
+            self._hashes[tag, track, frame] = h
+        return h if source is None else _absorb(h, int(source))
 
     def _uniform(self, tag: int, *key: int) -> float:
-        """The first ``random()`` of the key's stream: one LCG step, the
-        XSL-RR output, its top 53 bits."""
-        state, inc = self._state(tag, *key)
-        state = (state * _PCG_MULT + inc) & _M128
-        x, r = (state >> 64 ^ state) & _M64, state >> 122
-        return (((x >> r | x << 64 - r) & _M64) >> 11) * 2.0 ** -53
+        """A draw in [0, 1): the top 53 bits of the key's hash."""
+        return (self._hash(tag, *key) >> 11) * 2.0 ** -53
 
-    def _stream(self, tag: int, *key: int) -> np.random.Generator:
-        """The key's stream, fresh: the provider's one Generator, loaded."""
-        state, inc = self._state(tag, *key)
-        self._gen.bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
-        return self._gen
+    def _normals(self, n: int, tag: int, *key: int) -> list[float]:
+        """``n`` standard normal draws: the inverse normal CDF of SplitMix64's
+        first ``n`` outputs from the key's hash, each taken as the centre of
+        one of 2**52 equal cells of (0, 1), so never 0 or 1. A tag is drawn
+        either always with a source or always without one, so one key's
+        outputs are never another key's hash."""
+        h = self._hash(tag, *key)
+        return [_NORMAL.inv_cdf(
+                    ((_mix64((h + i * _GOLDEN) & _M64) >> 12) + 0.5) * 2.0 ** -52)
+                for i in range(1, n + 1)]
 
     # -- 2D query matching ----------------------------------------------
 
@@ -310,9 +256,10 @@ class OracleProviderSet:
 
         box = ann.box2d
         if n.center_px_sigma > 0:
-            rng = self._stream(_TAG_CENTER, track_id, target_frame, source_frame)
-            du, dv = rng.normal(0.0, n.center_px_sigma, size=2)
-            box = Box2D(cx=box.cx + du, cy=box.cy + dv, w=box.w, h=box.h)
+            gu, gv = self._normals(2, _TAG_CENTER, track_id, target_frame,
+                                   source_frame)
+            box = Box2D(cx=box.cx + n.center_px_sigma * gu,
+                        cy=box.cy + n.center_px_sigma * gv, w=box.w, h=box.h)
 
         z = ann.box3d.center[2]
         decay = math.exp(-z / n.confidence_d0) if math.isfinite(n.confidence_d0) else 1.0
@@ -333,14 +280,14 @@ class OracleProviderSet:
         n = self.noise
         depths = list(pk.depths)
         if n.depth_rel_sigma > 0:
-            rng = self._stream(_TAG_DEPTH, track_id, target_frame)
-            depths = [d * _exp_or_inf(n.depth_rel_sigma * g)
-                      for d, g in zip(depths, rng.normal(size=3))]
+            depths = [d * _exp_or_inf(n.depth_rel_sigma * g) for d, g in
+                      zip(depths, self._normals(3, _TAG_DEPTH, track_id,
+                                                target_frame))]
         dims = ann.box3d.dims
         if n.dims_rel_sigma > 0:
-            rng = self._stream(_TAG_DIMS, track_id, target_frame)
             dims = tuple(max(d * (1.0 + n.dims_rel_sigma * g), 1e-3)
-                         for d, g in zip(dims, rng.normal(size=3)))
+                         for d, g in zip(dims, self._normals(
+                             3, _TAG_DIMS, track_id, target_frame)))
         direction = pk.direction
         if n.direction_flip_prob > 0:
             if self._uniform(_TAG_DIRECTION, track_id,

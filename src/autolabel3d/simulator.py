@@ -34,8 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (Annotation, Box2D, Box3D, CameraIntrinsics, Frame,
-                   InvalidArgument, Mask2D, Sequence, covered_fractions,
-                   normalize_yaw)
+                   InvalidArgument, Mask2D, Sequence, covered_fractions)
 from .geometry import direction_at
 
 DEFAULT_INTRINSICS = dict(fx=721.54, fy=721.54, cx=609.56, cy=172.85,
@@ -350,10 +349,10 @@ def simulate(cfg: SimConfig) -> Sequence:
         corners = (centers[ids, None] + _SIGNS[:, :1] * hl * heading
                    + _SIGNS[:, 1:2] * hw * lateral + _SIGNS[:, 2:] * hh * up)
         # geometry.project of every corner (one behind the camera may divide
-        # by a depth of 0); boxes with a corner at depth <= 0.1 or clipped
-        # to 1 px or less are not annotated
+        # by a depth of 0, one far off may overflow); boxes with a corner at
+        # depth <= 0.1 or clipped to 1 px or less are not annotated
         front = corners[:, :, 2].min(axis=1) > 0.1
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             uv = np.stack([K.fx * corners[..., 0] / corners[..., 2] + K.cx,
                            K.fy * corners[..., 1] / corners[..., 2] + K.cy],
                           axis=2)
@@ -366,9 +365,10 @@ def simulate(cfg: SimConfig) -> Sequence:
         for (left, top, right, bottom), i, k in zip(edges.tolist(), tracks,
                                                     sel.tolist()):
             boxes.append(Box2D.from_corners(left, top, right, bottom))
-            # the center and yaw Box3D stores, which direction_at must see
+            # the center and yaw Box3D stores (atan2's yaw is in its
+            # range), which direction_at must see
             center = tuple(centers[i].tolist())
-            yaw = normalize_yaw(yaws[k])
+            yaw = yaws[k]
             box3ds.append(Box3D(center=center, dims=tuple(dims[i].tolist()),
                                 yaw=yaw, direction=direction_at(center, yaw)))
         masks = [None] * len(boxes)
@@ -391,13 +391,15 @@ def simulate(cfg: SimConfig) -> Sequence:
         frame.__dict__["occlusion"] = dict(zip(tracks, fractions))
         frames.append(frame)
 
-        # step kinematics
+        # step kinematics; motion that leaves the float range is refused
+        # at the next frame's check
         ego_x += cfg.ego_speed * math.sin(ego_phi) * dt
         ego_z += cfg.ego_speed * math.cos(ego_phi) * dt
         ego_phi += ego_omega * dt
-        x = x + speed * sin_p * dt
-        z = z + speed * cos_p * dt
-        phi = phi + omega * dt
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = x + speed * sin_p * dt
+            z = z + speed * cos_p * dt
+            phi = phi + omega * dt
 
     if not any(f.annotations for f in frames):
         raise InvalidArgument(

@@ -40,6 +40,16 @@ class TestNormalizeYaw:
         assert math.isclose(math.cos(r), math.cos(theta), abs_tol=1e-12)
         assert math.isclose(math.sin(r), math.sin(theta), abs_tol=1e-12)
 
+    @given(st.floats(-math.pi, math.pi, exclude_min=True))
+    def test_angle_in_range_comes_back_as_it_is(self, theta):
+        assert normalize_yaw(theta).hex() == theta.hex()
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_any_finite_angle_lands_in_range_for_good(self, theta):
+        r = normalize_yaw(theta)
+        assert -math.pi < r <= math.pi
+        assert normalize_yaw(r).hex() == r.hex()
+
 
 class TestIou2d:
     def test_identical(self):

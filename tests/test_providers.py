@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from autolabel3d import core
 from autolabel3d.config import NOISE_PROFILES
-from autolabel3d.core import Box2D, Frame, InvalidArgument, Sequence
+from autolabel3d.core import Box2D, InvalidArgument
 from autolabel3d.formats import parse_sequence, serialize_sequence
 from autolabel3d.geometry import project_keypoints
 from autolabel3d.pipeline import PipelineConfig, run_pipeline
@@ -113,55 +112,84 @@ class TestMatch:
         assert boxes[0] != boxes[1]
 
 
-def ids_scene(like, keys):
-    """A sequence annotating each ``(track, frame)`` of ``keys`` with a copy
-    of the first annotation of ``like``."""
-    frames: dict[int, set] = {}
-    for track, frame in keys:
-        frames.setdefault(frame, set()).add(track)
-    return Sequence(id="ids", intrinsics=like.intrinsics, frame_rate=10.0,
-                    frames=[Frame(f, np.eye(3, 4), [
-                        dataclasses.replace(like.frames[0].annotations[0],
-                                            frame_index=f, track_id=t)
-                        for t in sorted(ts)])
-                        for f, ts in sorted(frames.items())])
-
-
 ids = st.integers(0, 2 ** 32 - 1)
+keys = st.tuples(st.integers(1, 5), ids, ids, st.none() | ids).map(
+    lambda k: k if k[3] is not None else k[:3])  # (tag, track, frame[, source])
+seeds = st.integers(0, 2 ** 72 - 1)
+
+
+def draw(seq, seed, key):
+    """A key's uniform and its first two normals, from a fresh provider."""
+    prov = OracleProviderSet(seq, NoiseConfig(seed=seed))
+    return prov._uniform(*key), prov._normals(2, *key)
 
 
 class TestKeyedStreams:
-    """Every draw is the first draw of numpy's ``default_rng([seed, tag,
-    track, frame(, source)])``, bit for bit, whatever the order of asking."""
+    """Every draw is a function of its key ``(seed, tag, track, frame[,
+    source])`` alone, whatever the order of asking."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2 ** 72 - 1),
-           keys=st.lists(st.tuples(st.integers(1, 5), ids, ids,
-                                   st.none() | ids), min_size=1, max_size=6),
-           size=st.sampled_from([2, 3]))
-    @example(seed=2 ** 32 + 5, size=2,
-             keys=[(1, 2 ** 32 - 1, 2 ** 32 - 1, 2 ** 32 - 1), (5, 0, 0, None)])
-    def test_draws_are_numpys_keyed_streams(self, seq, seed, keys, size):
-        scene = ids_scene(seq, [(t, f) for _, t, f, _ in keys])
-        noise = NoiseConfig(seed=seed)
-
+    @settings(max_examples=100, deadline=None)
+    @given(seed=seeds, keys=st.lists(keys, min_size=1, max_size=6))
+    def test_same_key_same_draw_in_any_order(self, seq, seed, keys):
         def draws(order):
-            prov = OracleProviderSet(scene, noise)
-            return {key: (prov._uniform(*key), prov._stream(*key).normal(
-                          0.0, 1.5, size=size).tobytes())
-                    for key in (k if k[3] is not None else k[:3]
-                                for k in order)}
+            prov = OracleProviderSet(seq, NoiseConfig(seed=seed))
+            return [(prov._uniform(*key), prov._normals(3, *key))
+                    for key in order]
 
         got = draws(keys)
-        assert draws(keys[::-1]) == got
-        for key, (uniform, normal) in got.items():
-            assert uniform.hex() == np.random.default_rng(
-                [seed, *key]).random().hex()
-            assert normal == np.random.default_rng(
-                [seed, *key]).normal(0.0, 1.5, size=size).tobytes()
+        assert draws(keys[::-1] + keys) == got[::-1] + got
+        for key, (uniform, normals) in zip(keys, got):
+            assert draw(seq, seed, key) == (uniform, normals[:2])
+            assert 0.0 <= uniform < 1.0
+            assert all(math.isfinite(g) for g in normals)
             # numpy integers as ids give the same draw
-            assert OracleProviderSet(scene, noise)._uniform(
-                *map(np.int64, key)) == uniform
+            assert draw(seq, seed, tuple(map(np.int64, key))) == \
+                draw(seq, seed, key)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=seeds, key=keys)
+    @example(seed=0, key=(1, 0, 0))
+    @example(seed=2 ** 64 - 1, key=(2, 2 ** 32 - 1, 2 ** 32 - 1, 0))
+    def test_each_key_word_changes_the_draw(self, seq, seed, key):
+        tag, track, frame, *source = key
+        changed = [
+            (seed ^ 1, key),
+            (seed ^ 2 ** 64, key),  # a second seed word, or none
+            (seed, (tag % 5 + 1, track, frame, *source)),
+            (seed, (tag, track ^ 1, frame, *source)),
+            (seed, (tag, track, frame ^ 1, *source)),
+            # the words' order
+            (seed, (tag, frame, track, *source) if track != frame else
+             (tag, track, frame + 1, *source)),
+            # the source changed, or a source of 0 given for none
+            (seed, (tag, track, frame, source[0] ^ 1 if source else 0)),
+            # the source dropped, or one given
+            (seed, key[:3] if source else key + (1,)),
+        ]
+        want = draw(seq, seed, key)
+        for other in changed:
+            got = draw(seq, *other)
+            assert got[0] != want[0] and got[1] != want[1], other
+
+    def test_draws_of_structured_keys_look_uniform_and_normal(self, seq):
+        # 40,000 match keys and 40,000 estimate keys of consecutive ids, a
+        # weak hash's worst case; the bounds are 6 to 9 standard errors of
+        # each statistic under true draws, and chi2 with 19 degrees of
+        # freedom exceeds 50 with probability 1e-4
+        prov = OracleProviderSet(seq, NoiseConfig(seed=7))
+        u = np.array([prov._uniform(1, t, f, s) for t in range(20)
+                      for f in range(50) for s in range(40)])
+        assert abs(u.mean() - 0.5) < 0.01 and abs(u.var() - 1 / 12) < 0.003
+        counts = np.bincount((u * 20).astype(int), minlength=20)
+        assert ((counts - 2000) ** 2 / 2000).sum() < 50
+        flips = np.array([[prov._uniform(tag, t, f) for tag in (3, 5)]
+                          for t in range(40) for f in range(1000)])
+        assert abs(np.corrcoef(flips.T)[0, 1]) < 0.03
+        assert abs(np.corrcoef(flips[:-1, 0], flips[1:, 0])[0, 1]) < 0.03
+        g = np.array([prov._normals(3, 4, t, f) for t in range(40)
+                      for f in range(1000)])
+        assert np.all(np.abs(g.mean(axis=0)) < 0.03)
+        assert np.all(np.abs(g.std(axis=0) - 1) < 0.03)
 
     @pytest.mark.parametrize("profile", ["medium", "heavy_dropout"])
     def test_no_generator_is_built_per_draw(self, seq, monkeypatch, profile):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -434,3 +435,14 @@ class TestSimulate:
             SimConfig(layout="hex")
         with pytest.raises(InvalidArgument):
             SimConfig(object_speed=(5.0, 3.0))
+
+    def test_overflowing_motion_is_refused_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # a step of about 1e308 m: refused at the frame it reaches
+            with pytest.raises(InvalidArgument, match="sim: frame 1"):
+                simulate(SimConfig(duration=6, object_count=3,
+                                   frame_rate=2.2250738585072014e-308))
+            # steps of 1e307 m stay finite but overflow in the projection
+            far = simulate(SimConfig(duration=5, object_speed=(1e308, 1e308)))
+        assert far.frames[0].annotations and not far.frames[1].annotations

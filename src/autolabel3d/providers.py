@@ -204,20 +204,12 @@ class OracleProviderSet:
         seed = self.noise.seed  # its 64-bit words, lowest first
         words = [seed >> b & _M64 for b in range(0, seed.bit_length() or 1, 64)]
         self._seed_hash = reduce(_absorb, words, len(words))
-        self._hashes: dict[tuple[int, int, int], int] = {}  # see ``_hash``
 
-    def _hash(self, tag: int, track: int, frame: int,
-              source: Optional[int] = None) -> int:
-        """The key's hash: the seed's, then ``tag``, ``track``, ``frame``
-        and ``source`` (when given) absorbed one word each. The hash up to
-        ``frame`` is memoised."""
-        h = self._hashes.get((tag, track, frame))
-        if h is None:
-            h = self._seed_hash
-            for word in (tag, track, frame):
-                h = _absorb(h, int(word))  # a numpy integer would overflow
-            self._hashes[tag, track, frame] = h
-        return h if source is None else _absorb(h, int(source))
+    def _hash(self, tag: int, *key: int) -> int:
+        """The key's hash: the seed's, then ``tag`` and each word of ``key``
+        (track, frame and, for a match, source) absorbed one word each."""
+        # int(): a numpy integer would overflow
+        return reduce(_absorb, map(int, (tag, *key)), self._seed_hash)
 
     def _uniform(self, tag: int, *key: int) -> float:
         """A draw in [0, 1): the top 53 bits of the key's hash."""

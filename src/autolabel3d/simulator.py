@@ -365,10 +365,10 @@ def simulate(cfg: SimConfig) -> Sequence:
         for (left, top, right, bottom), i, k in zip(edges.tolist(), tracks,
                                                     sel.tolist()):
             boxes.append(Box2D.from_corners(left, top, right, bottom))
-            # the center and yaw Box3D stores (atan2's yaw is in its
-            # range), which direction_at must see
+            # the center and yaw Box3D stores, which direction_at must see
+            # (atan2 gives -pi when hz is +0.0 and hx < 0; Box3D keeps pi)
             center = tuple(centers[i].tolist())
-            yaw = yaws[k]
+            yaw = yaws[k] if yaws[k] > -math.pi else math.pi
             box3ds.append(Box3D(center=center, dims=tuple(dims[i].tolist()),
                                 yaw=yaw, direction=direction_at(center, yaw)))
         masks = [None] * len(boxes)
